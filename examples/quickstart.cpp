@@ -46,10 +46,12 @@ int main() {
   for (double l : report.epoch_losses) std::printf(" %.4f", l);
   std::printf("\n");
   std::printf("activation cache: %.2f MiB total, redistribution moved %llu "
-              "blocks (%.2f MiB)\n",
+              "blocks in %llu frames (%.2f MiB)\n",
               static_cast<double>(report.cache_bytes_total) / (1 << 20),
               static_cast<unsigned long long>(
                   report.redistribution.items_sent),
+              static_cast<unsigned long long>(
+                  report.redistribution.frames_sent),
               static_cast<double>(
                   report.redistribution.payload_bytes_sent) /
                   (1 << 20));

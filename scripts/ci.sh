@@ -42,8 +42,11 @@ run_tests() {
 # service_test adds the multi-tenant dispatcher: concurrent submit/cancel/
 # complete races, worker-pool completion, and the seeded admission
 # property — all of which must hold under shuffle and TSan.
-CONCURRENT_SUITES=(dist_test pipeline_test chaos_test async_comm_test
-                   planner_test obs_test elastic_test
+# common_test holds the thread pool's completion-handshake regression;
+# cache_test runs the batched cache redistribution protocol on all three
+# backends.
+CONCURRENT_SUITES=(common_test cache_test dist_test pipeline_test chaos_test
+                   async_comm_test planner_test obs_test elastic_test
                    transport_conformance_test quant_test service_test)
 
 # Extra gtest args per suite under TSan.  The TCP backend's accept/connect
@@ -55,7 +58,7 @@ CONCURRENT_SUITES=(dist_test pipeline_test chaos_test async_comm_test
 # rendezvous-wired TCP mesh (all carry "Tcp" in their names).
 tsan_suite_args() {
   case "$1" in
-    transport_conformance_test|chaos_test|dist_test)
+    transport_conformance_test|chaos_test|dist_test|cache_test)
       echo "--gtest_filter=-*Tcp*" ;;
     *) echo "" ;;
   esac

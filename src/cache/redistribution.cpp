@@ -6,9 +6,99 @@
 #include <set>
 #include <vector>
 
+#include "obs/counters.hpp"
 #include "pipeline/stage_worker.hpp"  // tag constants
 
 namespace pac::cache {
+
+namespace {
+
+// Frame headers carry ids as floats, which hold integers exactly below
+// 2^24; a larger id would silently round to a neighbour's.
+float exact_header_field(std::int64_t value, const char* what) {
+  constexpr std::int64_t kExactFloatLimit = std::int64_t{1} << 24;
+  PAC_CHECK(value >= 0 && value < kExactFloatLimit,
+            what << " " << value << " does not fit a frame header exactly");
+  return static_cast<float>(value);
+}
+
+// One frame under construction: the (sample, block, rows) header rows and
+// the blocks' stored rows concatenated into one [sum rows, row_len] tensor.
+struct Frame {
+  std::vector<float> header;
+  quant::QTensor payload;
+
+  bool empty() const { return header.empty(); }
+  // A block joins this frame only if it shares the stored representation
+  // and the frame stays under the byte cap (a lone oversized block still
+  // gets a frame of its own).
+  bool accepts(const quant::QTensor& block) const {
+    return empty() ||
+           (block.dtype == payload.dtype &&
+            block.row_len() == payload.row_len() &&
+            payload.byte_size() + block.byte_size() <= kRedistFrameBytes);
+  }
+  void append(std::int64_t sample, std::int64_t block,
+              const quant::QTensor& q) {
+    PAC_CHECK(q.shape.size() == 2,
+              "cached block (" << sample << ", " << block
+                               << ") is not a [T, H] matrix");
+    if (empty()) {
+      payload.dtype = q.dtype;
+      payload.shape = {0, q.row_len()};
+    }
+    header.push_back(exact_header_field(sample, "sample id"));
+    header.push_back(exact_header_field(block, "block index"));
+    header.push_back(exact_header_field(q.rows(), "block rows"));
+    payload.shape[0] += q.rows();
+    payload.data.insert(payload.data.end(), q.data.begin(), q.data.end());
+    payload.scales.insert(payload.scales.end(), q.scales.begin(),
+                          q.scales.end());
+  }
+};
+
+// Splits a received frame back into its blocks, in the sender's order.
+void unpack_frame(const Tensor& header, const quant::QTensor& payload,
+                  ActivationCache& shard, RedistStats& stats) {
+  PAC_CHECK(header.dim() == 2 && header.size(1) == 3,
+            "malformed redistribution frame header");
+  const std::int64_t row_len = payload.row_len();
+  const std::size_t row_bytes = static_cast<std::size_t>(row_len) *
+                                quant::element_bytes(payload.dtype);
+  const bool scaled = !payload.scales.empty();
+  PAC_CHECK(payload.data.size() ==
+                    static_cast<std::size_t>(payload.rows()) * row_bytes &&
+                (!scaled || payload.scales.size() ==
+                                static_cast<std::size_t>(payload.rows())),
+            "malformed redistribution frame payload");
+  std::int64_t row = 0;
+  for (std::int64_t i = 0; i < header.size(0); ++i) {
+    const auto sample = static_cast<std::int64_t>(header.at({i, 0}));
+    const auto block = static_cast<std::int64_t>(header.at({i, 1}));
+    const auto rows = static_cast<std::int64_t>(header.at({i, 2}));
+    PAC_CHECK(rows >= 0 && row + rows <= payload.rows(),
+              "redistribution frame header overruns its payload");
+    quant::QTensor q;
+    q.dtype = payload.dtype;
+    q.shape = {rows, row_len};
+    const auto first = payload.data.begin() +
+                       static_cast<std::ptrdiff_t>(row) *
+                           static_cast<std::ptrdiff_t>(row_bytes);
+    q.data.assign(first, first + static_cast<std::ptrdiff_t>(rows) *
+                                     static_cast<std::ptrdiff_t>(row_bytes));
+    if (scaled) {
+      const auto s = payload.scales.begin() + row;
+      q.scales.assign(s, s + rows);
+    }
+    row += rows;
+    shard.put_block_q(sample, block, std::move(q));
+    ++stats.items_received;
+  }
+  PAC_CHECK(row == payload.rows(),
+            "redistribution frame payload has rows no header names");
+}
+
+}  // namespace
 
 RedistStats redistribute_cache(
     dist::DeviceContext& ctx, ActivationCache& shard,
@@ -35,55 +125,51 @@ RedistStats redistribute_cache(
     shipped_samples.insert(sample);
   }
 
-  // Announce counts, then stream items.  Sends never block, so issuing all
-  // sends before any recv is deadlock-free.  Compressed shards ship their
-  // stored representation (losslessly — no requantization on the move);
-  // fp32 shards keep the original frames byte-for-byte.
-  const bool compressed = shard.dtype() != quant::Dtype::kF32;
+  // Stream each peer its blocks as frames, then a trailer with the frame
+  // count.  Sends never block, so issuing all sends before any recv is
+  // deadlock-free.  Blocks travel in their stored representation (a
+  // bit-exact kF32 repack for fp32 shards), so the move is lossless for
+  // every cache dtype.
   for (int peer : group) {
     if (peer == me) continue;
+    std::int64_t frames = 0;
+    Frame frame;
+    auto ship = [&] {
+      const auto k = static_cast<std::int64_t>(frame.header.size() / 3);
+      ctx.comm.send(peer, tag_header,
+                    Tensor::from_vector({k, 3}, frame.header));
+      ctx.comm.send_q(peer, tag_payload, std::move(frame.payload));
+      frame = Frame{};
+      ++frames;
+    };
     const auto it = outgoing.find(peer);
-    const std::int64_t n =
-        it == outgoing.end() ? 0
-                             : static_cast<std::int64_t>(it->second.size());
-    ctx.comm.send(peer, tag_count,
-                  Tensor::full({1}, static_cast<float>(n)));
-    if (it == outgoing.end()) continue;
-    for (const auto& [sample, block] : it->second) {
-      Tensor header = Tensor::from_vector(
-          {2}, {static_cast<float>(sample), static_cast<float>(block)});
-      ctx.comm.send(peer, tag_header, std::move(header));
-      if (compressed) {
-        quant::QTensor payload = shard.get_block_q(sample, block);
-        stats.payload_bytes_sent += payload.byte_size();
+    if (it != outgoing.end()) {
+      for (const auto& [sample, block] : it->second) {
+        const quant::QTensor q = shard.get_block_q(sample, block);
+        if (!frame.accepts(q)) ship();
+        frame.append(sample, block, q);
+        stats.payload_bytes_sent += q.byte_size();
         ++stats.items_sent;
-        ctx.comm.send_q(peer, tag_payload, std::move(payload));
-      } else {
-        Tensor payload = shard.get_block(sample, block);
-        stats.payload_bytes_sent += payload.byte_size();
-        ++stats.items_sent;
-        ctx.comm.send(peer, tag_payload, std::move(payload));
       }
+      if (!frame.empty()) ship();
     }
+    ctx.comm.send(peer, tag_count,
+                  Tensor::full({1}, static_cast<float>(frames)));
+    stats.frames_sent += static_cast<std::uint64_t>(frames);
   }
 
-  // Receive from every peer.
+  // Receive from every peer, in group order.
   for (int peer : group) {
     if (peer == me) continue;
-    const auto n = static_cast<std::int64_t>(
+    const auto frames = static_cast<std::int64_t>(
         ctx.comm.recv(peer, tag_count).at({0}));
-    for (std::int64_t i = 0; i < n; ++i) {
-      Tensor header = ctx.comm.recv(peer, tag_header);
-      const auto sample = static_cast<std::int64_t>(header.at({0}));
-      const auto block = static_cast<std::int64_t>(header.at({1}));
-      if (compressed) {
-        shard.put_block_q(sample, block, ctx.comm.recv_q(peer, tag_payload));
-      } else {
-        shard.put_block(sample, block, ctx.comm.recv(peer, tag_payload));
-      }
-      ++stats.items_received;
+    for (std::int64_t f = 0; f < frames; ++f) {
+      const Tensor header = ctx.comm.recv(peer, tag_header);
+      unpack_frame(header, ctx.comm.recv_q(peer, tag_payload), shard, stats);
     }
   }
+  obs::CounterRegistry::instance().add(
+      "cache.redist_frames", static_cast<std::int64_t>(stats.frames_sent));
 
   // Drop everything we shipped away.
   for (std::int64_t sample : shipped_samples) {

@@ -20,17 +20,43 @@
 
 namespace pac::cache {
 
+// items_* count (sample, block) entries; frames_sent counts the batched
+// frames that carried them (see redistribute_cache).
 struct RedistStats {
   std::uint64_t items_sent = 0;
   std::uint64_t payload_bytes_sent = 0;
   std::uint64_t items_received = 0;
+  std::uint64_t frames_sent = 0;
+
+  RedistStats& operator+=(const RedistStats& other) {
+    items_sent += other.items_sent;
+    payload_bytes_sent += other.payload_bytes_sent;
+    items_received += other.items_received;
+    frames_sent += other.frames_sent;
+    return *this;
+  }
 };
+
+// Byte cap of one redistribution frame's payload.  A frame also closes
+// when the next block's stored dtype or row length differs.
+inline constexpr std::uint64_t kRedistFrameBytes = 1u << 20;
 
 // Must be called by every rank of `group` (inside EdgeCluster::run).
 // target_of_sample maps a dataset sample id to the rank (a member of
 // `group`) that will train on it in phase 2.  `group` must be sorted,
 // unique, and contain ctx.rank; after a device death the survivors pass
 // cluster.alive_ranks() so the all-to-all skips the dead rank.
+//
+// Wire protocol, per (sender, peer) link, peers in group order from the
+// calling thread: zero or more frames, then a one-element trailer holding
+// the frame count.  A frame is a float header tensor [k, 3] of
+// (sample, block, rows) followed by one QTensor [sum rows, row_len] that
+// concatenates the k blocks' stored bytes (get_block_q) row-wise; int8
+// scales concatenate the same way.  Frames close at kRedistFrameBytes and
+// at any change of dtype or row length.  The receiver stores the blocks
+// with put_block_q in the sender's held_blocks() order, so one path moves
+// fp32 (bit-exact kF32 repack), fp16 and int8 shards alike.  Ids must be
+// below 2^24, the largest range a float header holds exactly.
 RedistStats redistribute_cache(
     dist::DeviceContext& ctx, ActivationCache& shard,
     const std::function<int(std::int64_t)>& target_of_sample,

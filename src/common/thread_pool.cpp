@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace pac {
 namespace {
@@ -74,7 +73,11 @@ void ThreadPool::parallel_for(
   const std::int64_t chunks = std::min<std::int64_t>(width, n / grain);
   const std::int64_t per_chunk = (n + chunks - 1) / chunks;
 
-  std::atomic<std::int64_t> remaining{chunks - 1};
+  // Completion state lives in this frame.  Workers decrement and notify
+  // while holding done_mutex, so the caller cannot observe remaining == 0,
+  // return and destroy the mutex and condvar until the last worker has
+  // released them.
+  std::int64_t remaining = chunks - 1;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -85,8 +88,9 @@ void ThreadPool::parallel_for(
       const std::int64_t end = std::min(n, begin + per_chunk);
       tasks_.push([&, begin, end] {
         fn(begin, end);
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> done_guard(done_mutex);
+        std::lock_guard<std::mutex> done_guard(done_mutex);
+        if (--remaining == 0) {
+          if (completion_hook_) completion_hook_();
           done_cv.notify_one();
         }
       });
@@ -98,7 +102,7 @@ void ThreadPool::parallel_for(
   fn(0, std::min(n, per_chunk));
 
   std::unique_lock<std::mutex> done_lock(done_mutex);
-  done_cv.wait(done_lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(done_lock, [&] { return remaining == 0; });
 }
 
 ThreadPool& ThreadPool::global() {

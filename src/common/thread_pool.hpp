@@ -17,6 +17,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace pac {
@@ -51,6 +52,13 @@ class ThreadPool {
   // dispatch.
   bool on_worker_thread() const;
 
+  // Test seam: runs on the worker that finishes a parallel_for's last
+  // dispatched chunk, after its decrement and before it wakes the caller.
+  // Set only while no parallel_for is in flight.
+  void set_completion_hook_for_testing(std::function<void()> hook) {
+    completion_hook_ = std::move(hook);
+  }
+
   // Process-wide pool shared by the tensor kernels.
   static ThreadPool& global();
 
@@ -62,6 +70,7 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable task_ready_;
   bool stopping_ = false;
+  std::function<void()> completion_hook_;
 };
 
 }  // namespace pac

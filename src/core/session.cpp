@@ -343,9 +343,7 @@ SessionReport Session::run_attempt() {
       cache::RedistStats stats = cache::redistribute_cache(
           ctx, *shards[static_cast<std::size_t>(ctx.rank)], t, group);
       std::lock_guard<std::mutex> stats_guard(stats_mutex);
-      report.redistribution.items_sent += stats.items_sent;
-      report.redistribution.items_received += stats.items_received;
-      report.redistribution.payload_bytes_sent += stats.payload_bytes_sent;
+      report.redistribution += stats;
     });
     report.redistribution_seconds += t_redist.seconds();
   };

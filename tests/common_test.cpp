@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -150,6 +152,48 @@ TEST(ThreadPoolTest, SingleThreadPoolWorks) {
     total += e - b;
   });
   EXPECT_EQ(total, 100000);
+}
+
+TEST(ThreadPoolTest, CallerOutlivesLastWorkersSignal) {
+  // Regression: the last worker used to decrement the pending-chunk count
+  // before it locked the caller's stack-held mutex, so the caller could see
+  // zero, return, and free that mutex and condvar while the worker was
+  // about to lock them.  The hook holds the last worker between its
+  // decrement and its notify; parallel_for must not return meanwhile.
+  ThreadPool pool(2);
+  std::atomic<bool> worker_chunk_done{false};
+  std::atomic<bool> returned{false};
+  std::atomic<int> returned_early{0};
+  pool.set_completion_hook_for_testing([&] {
+    // Ample time for a caller that does not wait for us to return.
+    for (int i = 0; i < 100 && !returned.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (returned.load()) returned_early.fetch_add(1);
+  });
+  pool.parallel_for(
+      2,
+      [&](std::int64_t begin, std::int64_t) {
+        if (begin != 0) {
+          worker_chunk_done = true;
+          return;
+        }
+        // The caller's chunk finishes last, so the worker's decrement is
+        // the one that completes the call.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!worker_chunk_done.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      },
+      /*grain=*/1);
+  returned = true;
+  EXPECT_TRUE(worker_chunk_done.load());
+  EXPECT_EQ(returned_early.load(), 0)
+      << "parallel_for returned while its last worker was still signalling";
+  pool.set_completion_hook_for_testing(nullptr);
 }
 
 TEST(SerializeTest, RoundTripScalars) {

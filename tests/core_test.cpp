@@ -46,6 +46,9 @@ TEST(SessionTest, FullPacWorkflowRuns) {
   EXPECT_GT(report.redistribution.items_sent, 0U);
   EXPECT_EQ(report.redistribution.items_sent,
             report.redistribution.items_received);
+  // Blocks travel batched: at most one frame per (sender, peer) link here.
+  EXPECT_GT(report.redistribution.frames_sent, 0U);
+  EXPECT_LE(report.redistribution.frames_sent, 4U * 3U);
   EXPECT_GT(report.cache_bytes_total, 0U);
   EXPECT_GE(report.eval_metric, 0.0);
   EXPECT_LE(report.eval_metric, 1.0);

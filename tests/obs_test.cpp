@@ -357,6 +357,10 @@ TEST(ObsSessionTest, ChaosScheduleFourLeavesAPostMortemTrace) {
 
   // Comm/allreduce counters accumulated during the traced run.
   EXPECT_GT(CounterRegistry::instance().value("allreduce.buckets"), 0);
+  // The run states its redistribution message count next to its items.
+  EXPECT_GT(report.redistribution.frames_sent, 0U);
+  EXPECT_EQ(CounterRegistry::instance().value("cache.redist_frames"),
+            static_cast<std::int64_t>(report.redistribution.frames_sent));
 }
 
 TEST(ObsSessionTest, DisabledObservabilityChangesNoTrajectory) {
