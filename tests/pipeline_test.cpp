@@ -169,6 +169,12 @@ struct ParityCase {
   ScheduleKind schedule = ScheduleKind::k1F1B;
 };
 
+// gtest lists value-parameterized cases with a printout of the parameter,
+// and CTest makes that printout part of each test's name. The default
+// printout dumps the object's raw bytes, which here include heap pointers
+// that ASLR changes on every build, so print the stable case name instead.
+void PrintTo(const ParityCase& pc, std::ostream* os) { *os << pc.name; }
+
 data::SyntheticGlueDataset parity_dataset() {
   data::DatasetConfig cfg;
   cfg.task = data::GlueTask::kSst2;

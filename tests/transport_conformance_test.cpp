@@ -347,7 +347,11 @@ TEST_P(ConformanceTest, RootDeathRecordIsSharedAndFirstWins) {
   World w(GetParam(), 3);
   EXPECT_EQ(w.at(0).first_dead_rank(), -1);
   w.at(1).report_root_death(1);
-  ASSERT_TRUE(World::eventually([&] { return w.at(0).first_dead_rank() == 1; }));
+  // Tcp gossips the record to each peer in turn, so wait until it reached
+  // the endpoint that makes the late report, not just the first peer.
+  ASSERT_TRUE(World::eventually([&] {
+    return w.at(0).first_dead_rank() == 1 && w.at(2).first_dead_rank() == 1;
+  }));
   w.at(2).report_root_death(2);  // too late: first report wins
   EXPECT_EQ(w.at(0).first_dead_rank(), 1);
   EXPECT_EQ(w.at(2).first_dead_rank(), 1);
