@@ -44,10 +44,13 @@ run_tests() {
 # property — all of which must hold under shuffle and TSan.
 # common_test holds the thread pool's completion-handshake regression;
 # cache_test runs the batched cache redistribution protocol on all three
-# backends.
+# backends.  fuzz_test drives the wire decoder, collectives and cache
+# round-trips on cluster threads; core_test runs whole sessions, including
+# the dead-shard salvage path.
 CONCURRENT_SUITES=(common_test cache_test dist_test pipeline_test chaos_test
                    async_comm_test planner_test obs_test elastic_test
-                   transport_conformance_test quant_test service_test)
+                   transport_conformance_test quant_test service_test
+                   fuzz_test core_test)
 
 # Extra gtest args per suite under TSan.  The TCP backend's accept/connect
 # timing is dilated enough by the instrumented scheduler to be flaky, so

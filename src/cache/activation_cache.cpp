@@ -13,9 +13,8 @@ namespace pac::cache {
 
 namespace {
 
-// First u64 of a compressed spill file.  The legacy fp32 format starts with
-// the block count (a small integer), so this sentinel can never collide.
-constexpr std::uint64_t kQuantSpillMagic = 0x5041435153504C31ull;  // PACQSPL1
+// First u64 of a spill file.
+constexpr std::uint64_t kSpillMagic = 0x5041435153504C31ull;  // PACQSPL1
 
 }  // namespace
 
@@ -71,92 +70,49 @@ void ActivationCache::record(const std::vector<std::int64_t>& sample_ids,
   const std::int64_t h = hidden.size(2);
   std::lock_guard<std::mutex> lk(mutex_);
   for (std::size_t r = 0; r < sample_ids.size(); ++r) {
-    if (quantized()) {
-      // Quantize straight off the batch row — no fp32 clone on the way in.
-      const float* row =
-          hidden.data() + static_cast<std::int64_t>(r) * t * h;
-      put_qblock_locked(sample_ids[r], block_index,
-                        quant::quantize_rows(row, {t, h}, config_.dtype));
-      continue;
-    }
-    Tensor row = hidden.slice0(static_cast<std::int64_t>(r),
-                               static_cast<std::int64_t>(r) + 1)
-                     .clone()
-                     .reshape({t, h});
-    put_block_locked(sample_ids[r], block_index, std::move(row));
+    // Repack straight off the batch row — no fp32 clone on the way in.
+    const float* row = hidden.data() + static_cast<std::int64_t>(r) * t * h;
+    put_block_locked(sample_ids[r], block_index,
+                     quant::quantize_rows(row, {t, h}, config_.dtype));
   }
 }
 
 void ActivationCache::put_block(std::int64_t sample_id,
-                                std::int64_t block_index, Tensor activation) {
+                                std::int64_t block_index,
+                                quant::QTensor payload) {
   std::lock_guard<std::mutex> lk(mutex_);
-  put_block_locked(sample_id, block_index, std::move(activation));
+  put_block_locked(sample_id, block_index, std::move(payload));
 }
 
 void ActivationCache::put_block_locked(std::int64_t sample_id,
                                        std::int64_t block_index,
-                                       Tensor activation) {
-  if (quantized()) {
-    put_qblock_locked(sample_id, block_index,
-                      quant::quantize(activation, config_.dtype));
-    return;
-  }
+                                       quant::QTensor q) {
+  PAC_CHECK(q.defined(), "put_block of an undefined block");
   PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
             "block index " << block_index << " out of range");
+  if (q.dtype != config_.dtype) {
+    // Mismatched representation: go through fp32 (one requantization).
+    q = quant::quantize(quant::dequantize(q), config_.dtype);
+  }
   Entry& entry = entries_[sample_id];
   if (entry.blocks.empty()) {
     entry.blocks.resize(static_cast<std::size_t>(config_.num_blocks));
   }
   PAC_CHECK(!entry.spilled, "put_block on spilled sample " << sample_id);
-  Tensor& slot = entry.blocks[static_cast<std::size_t>(block_index)];
+  quant::QTensor& slot = entry.blocks[static_cast<std::size_t>(block_index)];
   PAC_CHECK(!slot.defined(), "duplicate record for sample "
                                  << sample_id << " block " << block_index);
-  charge(activation.byte_size());
-  slot = std::move(activation);
-  ++entry.present;
-  maybe_spill(sample_id, entry);
-}
-
-void ActivationCache::put_qblock_locked(std::int64_t sample_id,
-                                        std::int64_t block_index,
-                                        quant::QTensor q) {
-  PAC_CHECK(quantized(), "quantized insert into an fp32 cache shard");
-  PAC_CHECK(q.dtype == config_.dtype,
-            "dtype mismatch: shard stores " << quant::dtype_name(config_.dtype)
-                                            << ", got "
-                                            << quant::dtype_name(q.dtype));
-  PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
-            "block index " << block_index << " out of range");
-  Entry& entry = entries_[sample_id];
-  if (entry.qblocks.empty()) {
-    entry.qblocks.resize(static_cast<std::size_t>(config_.num_blocks));
-  }
-  PAC_CHECK(!entry.spilled, "put_block on spilled sample " << sample_id);
-  auto& slot = entry.qblocks[static_cast<std::size_t>(block_index)];
-  PAC_CHECK(!slot.has_value(), "duplicate record for sample "
-                                   << sample_id << " block " << block_index);
-  const std::uint64_t fp32_bytes =
-      static_cast<std::uint64_t>(q.numel()) * 4;
   charge(q.byte_size());
-  obs::CounterRegistry::instance().add(
-      "cache.bytes_quantized_saved",
-      static_cast<std::int64_t>(fp32_bytes - q.byte_size()));
+  if (config_.dtype != quant::Dtype::kF32) {
+    const std::uint64_t fp32_bytes =
+        static_cast<std::uint64_t>(q.numel()) * 4;
+    obs::CounterRegistry::instance().add(
+        "cache.bytes_quantized_saved",
+        static_cast<std::int64_t>(fp32_bytes - q.byte_size()));
+  }
   slot = std::move(q);
   ++entry.present;
   maybe_spill(sample_id, entry);
-}
-
-void ActivationCache::put_block_q(std::int64_t sample_id,
-                                  std::int64_t block_index,
-                                  quant::QTensor payload) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  if (quantized() && payload.dtype == config_.dtype) {
-    put_qblock_locked(sample_id, block_index, std::move(payload));
-    return;
-  }
-  // Mismatched representation: go through fp32 (bit-exact for kF32
-  // payloads into fp32 shards; one requantization otherwise).
-  put_block_locked(sample_id, block_index, quant::dequantize(payload));
 }
 
 void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
@@ -165,34 +121,21 @@ void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
   obs::CounterRegistry::instance().add("cache.spills", 1);
   std::ofstream out(sample_path(sample_id), std::ios::binary);
   PAC_CHECK(out.good(), "cannot open spill file for sample " << sample_id);
+  // Sentinel, dtype, then per-block dims, scales, and raw element bytes.
   BinaryWriter w(out);
+  w.write_u64(kSpillMagic);
+  w.write_u32(static_cast<std::uint32_t>(config_.dtype));
+  w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
   std::uint64_t freed = 0;
-  if (!entry.qblocks.empty()) {
-    // Compressed spill format: sentinel, dtype, then per-block dims,
-    // scales, and raw element bytes.
-    w.write_u64(kQuantSpillMagic);
-    w.write_u32(static_cast<std::uint32_t>(config_.dtype));
-    w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
-    for (auto& slot : entry.qblocks) {
-      quant::QTensor& q = *slot;
-      w.write_u64(static_cast<std::uint64_t>(q.shape[0]));
-      w.write_u64(static_cast<std::uint64_t>(q.shape[1]));
-      w.write_u64(static_cast<std::uint64_t>(q.scales.size()));
-      w.write_floats(q.scales.data(), q.scales.size());
-      w.write_u64(static_cast<std::uint64_t>(q.data.size()));
-      w.write_bytes(q.data.data(), q.data.size());
-      freed += q.byte_size();
-      slot.reset();
-    }
-  } else {
-    w.write_u64(static_cast<std::uint64_t>(config_.num_blocks));
-    for (Tensor& block : entry.blocks) {
-      w.write_u64(static_cast<std::uint64_t>(block.size(0)));
-      w.write_u64(static_cast<std::uint64_t>(block.size(1)));
-      w.write_floats(block.data(), static_cast<std::size_t>(block.numel()));
-      freed += block.byte_size();
-      block = Tensor();
-    }
+  for (quant::QTensor& q : entry.blocks) {
+    w.write_u64(static_cast<std::uint64_t>(q.shape[0]));
+    w.write_u64(static_cast<std::uint64_t>(q.shape[1]));
+    w.write_u64(static_cast<std::uint64_t>(q.scales.size()));
+    w.write_floats(q.scales.data(), q.scales.size());
+    w.write_u64(static_cast<std::uint64_t>(q.data.size()));
+    w.write_bytes(q.data.data(), q.data.size());
+    freed += q.byte_size();
+    q = quant::QTensor{};
   }
   refund(freed);
   entry.spilled = true;
@@ -202,44 +145,32 @@ void ActivationCache::maybe_spill(std::int64_t sample_id, Entry& entry) {
 
 ActivationCache::Entry ActivationCache::read_spilled_entry(std::istream& in) {
   BinaryReader r(in);
-  const std::uint64_t head = r.read_u64();
+  PAC_CHECK(r.read_u64() == kSpillMagic, "not a cache spill file");
+  const auto dtype = static_cast<quant::Dtype>(r.read_u32());
+  PAC_CHECK(dtype <= quant::Dtype::kI8, "spill file with bad dtype");
+  const std::uint64_t blocks = r.read_u64();
   Entry entry;
-  if (head == kQuantSpillMagic) {
-    const auto dtype = static_cast<quant::Dtype>(r.read_u32());
-    PAC_CHECK(dtype == quant::Dtype::kF16 || dtype == quant::Dtype::kI8,
-              "compressed spill file with bad dtype");
-    const std::uint64_t blocks = r.read_u64();
-    entry.qblocks.resize(blocks);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      quant::QTensor q;
-      q.dtype = dtype;
-      const std::int64_t t = static_cast<std::int64_t>(r.read_u64());
-      const std::int64_t h = static_cast<std::int64_t>(r.read_u64());
-      q.shape = {t, h};
-      const std::uint64_t nscales = r.read_u64();
-      q.scales.resize(nscales);
-      r.read_floats(q.scales.data(), q.scales.size());
-      const std::uint64_t nbytes = r.read_u64();
-      // A torn file can carry a bogus length; cap the resize to what the
-      // shape implies so we fail via the stream, not a huge allocation.
-      PAC_CHECK(nbytes == static_cast<std::uint64_t>(q.numel()) *
-                              quant::element_bytes(dtype),
-                "compressed spill block length mismatch");
-      q.data.resize(nbytes);
-      r.read_bytes(q.data.data(), q.data.size());
-      entry.qblocks[b] = std::move(q);
-    }
-    entry.present = static_cast<std::int64_t>(blocks);
-    return entry;
-  }
-  const std::uint64_t blocks = head;
   entry.blocks.resize(blocks);
-  for (std::uint64_t b = 0; b < blocks; ++b) {
+  for (quant::QTensor& q : entry.blocks) {
+    q.dtype = dtype;
     const std::int64_t t = static_cast<std::int64_t>(r.read_u64());
     const std::int64_t h = static_cast<std::int64_t>(r.read_u64());
-    Tensor block({t, h});
-    r.read_floats(block.data(), static_cast<std::size_t>(block.numel()));
-    entry.blocks[b] = std::move(block);
+    q.shape = {t, h};
+    // A torn file can carry bogus lengths; cap each resize to what the
+    // shape implies so we fail via the stream, not a huge allocation.
+    const std::uint64_t nscales = r.read_u64();
+    PAC_CHECK(nscales == (dtype == quant::Dtype::kI8
+                              ? static_cast<std::uint64_t>(q.rows())
+                              : 0),
+              "spill block scale count mismatch");
+    q.scales.resize(nscales);
+    r.read_floats(q.scales.data(), q.scales.size());
+    const std::uint64_t nbytes = r.read_u64();
+    PAC_CHECK(nbytes == static_cast<std::uint64_t>(q.numel()) *
+                            quant::element_bytes(dtype),
+              "spill block length mismatch");
+    q.data.resize(nbytes);
+    r.read_bytes(q.data.data(), q.data.size());
   }
   entry.present = static_cast<std::int64_t>(blocks);
   return entry;
@@ -386,7 +317,7 @@ std::vector<Tensor> ActivationCache::fetch(
   }
 
   // Pass 2 (lock held throughout): assemble per-block batches [n, T, H],
-  // dequantizing compressed entries straight into the batch rows.
+  // dequantizing every stored block straight into the batch rows.
   std::vector<const Entry*> sources;
   for (std::int64_t id : sample_ids) {
     auto it = entries_.find(id);
@@ -404,33 +335,19 @@ std::vector<Tensor> ActivationCache::fetch(
       sources.push_back(&it->second);
     }
   }
-  auto block_shape = [](const Entry* e, std::int64_t b) {
-    if (!e->qblocks.empty()) {
-      const auto& q = e->qblocks[static_cast<std::size_t>(b)];
-      return std::make_pair(q->shape[0], q->shape[1]);
-    }
-    const Tensor& t = e->blocks[static_cast<std::size_t>(b)];
-    return std::make_pair(t.size(0), t.size(1));
-  };
   std::vector<Tensor> out;
   const std::int64_t n = static_cast<std::int64_t>(sample_ids.size());
   for (std::int64_t b = 0; b < config_.num_blocks; ++b) {
-    const auto [bt, bh] = block_shape(sources[0], b);
+    const auto block = static_cast<std::size_t>(b);
+    const std::int64_t bt = sources[0]->blocks[block].shape[0];
+    const std::int64_t bh = sources[0]->blocks[block].shape[1];
     Tensor batch({n, bt, bh});
     for (std::int64_t r = 0; r < n; ++r) {
-      const Entry* src = sources[static_cast<std::size_t>(r)];
-      if (!src->qblocks.empty()) {
-        const auto& q = src->qblocks[static_cast<std::size_t>(b)];
-        PAC_CHECK(q->numel() == bt * bh,
-                  "inconsistent cached shapes across samples");
-        quant::dequantize_into(*q, batch.data() + r * bt * bh);
-        continue;
-      }
-      const Tensor& row = src->blocks[static_cast<std::size_t>(b)];
-      PAC_CHECK(row.numel() == bt * bh,
+      const quant::QTensor& q =
+          sources[static_cast<std::size_t>(r)]->blocks[block];
+      PAC_CHECK(q.numel() == bt * bh,
                 "inconsistent cached shapes across samples");
-      batch.slice0(r, r + 1).copy_from(row.reshape({1, row.size(0),
-                                                    row.size(1)}));
+      quant::dequantize_into(q, batch.data() + r * bt * bh);
     }
     out.push_back(std::move(batch));
   }
@@ -444,10 +361,6 @@ bool ActivationCache::has_block(std::int64_t sample_id,
   if (it == entries_.end()) return false;
   if (it->second.spilled) return true;  // spill implies complete
   if (block_index < 0 || block_index >= config_.num_blocks) return false;
-  if (!it->second.qblocks.empty()) {
-    return it->second.qblocks[static_cast<std::size_t>(block_index)]
-        .has_value();
-  }
   return it->second.blocks[static_cast<std::size_t>(block_index)].defined();
 }
 
@@ -478,11 +391,9 @@ ActivationCache::held_blocks() const {
       continue;
     }
     for (std::int64_t b = 0; b < config_.num_blocks; ++b) {
-      const bool held =
-          entry.qblocks.empty()
-              ? entry.blocks[static_cast<std::size_t>(b)].defined()
-              : entry.qblocks[static_cast<std::size_t>(b)].has_value();
-      if (held) out.emplace_back(id, b);
+      if (entry.blocks[static_cast<std::size_t>(b)].defined()) {
+        out.emplace_back(id, b);
+      }
     }
   }
   return out;
@@ -490,43 +401,28 @@ ActivationCache::held_blocks() const {
 
 Tensor ActivationCache::get_block(std::int64_t sample_id,
                                   std::int64_t block_index) const {
-  return quant::dequantize(get_block_q(sample_id, block_index));
+  const std::vector<quant::QTensor> blocks = get_blocks(sample_id);
+  PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
+            "block index out of range");
+  const quant::QTensor& q = blocks[static_cast<std::size_t>(block_index)];
+  if (!q.defined()) {
+    throw CacheMissError("block " + std::to_string(block_index) +
+                         " of sample " + std::to_string(sample_id) +
+                         " not recorded");
+  }
+  return quant::dequantize(q);
 }
 
-quant::QTensor ActivationCache::get_block_q(std::int64_t sample_id,
-                                            std::int64_t block_index) const {
+std::vector<quant::QTensor> ActivationCache::get_blocks(
+    std::int64_t sample_id) const {
   std::lock_guard<std::mutex> lk(mutex_);
   auto it = entries_.find(sample_id);
   if (it == entries_.end()) {
     throw CacheMissError("sample " + std::to_string(sample_id) +
                          " not in this cache shard");
   }
-  PAC_CHECK(block_index >= 0 && block_index < config_.num_blocks,
-            "block index out of range");
-  auto block_of = [&](const Entry& entry) -> quant::QTensor {
-    if (!entry.qblocks.empty()) {
-      const auto& q = entry.qblocks[static_cast<std::size_t>(block_index)];
-      if (!q.has_value()) {
-        throw CacheMissError("block " + std::to_string(block_index) +
-                             " of sample " + std::to_string(sample_id) +
-                             " not recorded");
-      }
-      return *q;
-    }
-    const Tensor& block =
-        entry.blocks[static_cast<std::size_t>(block_index)];
-    if (!block.defined()) {
-      throw CacheMissError("block " + std::to_string(block_index) +
-                           " of sample " + std::to_string(sample_id) +
-                           " not recorded");
-    }
-    return quant::quantize(block, quant::Dtype::kF32);
-  };
-  if (it->second.spilled) {
-    // Compressed shards hand spilled blocks out exactly as stored on disk.
-    return block_of(load_spilled(sample_id));
-  }
-  return block_of(it->second);
+  if (it->second.spilled) return load_spilled(sample_id).blocks;
+  return it->second.blocks;
 }
 
 void ActivationCache::drop_sample(std::int64_t sample_id) {
@@ -538,11 +434,8 @@ void ActivationCache::drop_sample_locked(std::int64_t sample_id) {
   auto it = entries_.find(sample_id);
   if (it == entries_.end()) return;
   std::uint64_t resident = 0;
-  for (const Tensor& block : it->second.blocks) {
-    if (block.defined()) resident += block.byte_size();
-  }
-  for (const auto& q : it->second.qblocks) {
-    if (q.has_value()) resident += q->byte_size();
+  for (const quant::QTensor& block : it->second.blocks) {
+    resident += block.byte_size();
   }
   refund(resident);
   if (it->second.spilled) {
@@ -583,19 +476,7 @@ std::int64_t ActivationCache::absorb_spilled_directory(
     if (!in.good()) continue;
     try {
       Entry loaded = read_spilled_entry(in);
-      for (std::size_t b = 0; b < loaded.qblocks.size(); ++b) {
-        auto& q = loaded.qblocks[b];
-        if (!q.has_value()) continue;
-        if (quantized() && q->dtype == config_.dtype) {
-          put_qblock_locked(id, static_cast<std::int64_t>(b),
-                            std::move(*q));
-        } else {
-          put_block_locked(id, static_cast<std::int64_t>(b),
-                           quant::dequantize(*q));
-        }
-      }
       for (std::size_t b = 0; b < loaded.blocks.size(); ++b) {
-        if (!loaded.blocks[b].defined()) continue;
         put_block_locked(id, static_cast<std::int64_t>(b),
                          std::move(loaded.blocks[b]));
       }

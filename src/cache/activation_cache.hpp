@@ -10,13 +10,14 @@
 //            flash-storage cache ("reloaded from disk per micro-batch",
 //            storage §5.2) and keeps the DRAM ledger honest.
 //
-// Storage dtype (CacheConfig::dtype): fp32 entries are stored exactly as
-// recorded; fp16/int8 entries are quantized on insert (see tensor/quant.hpp
-// for the format) and dequantized on fetch, so RAM, the ledger charge, the
-// spill files, and redistribution traffic all shrink 2-4x.  The fp32 path
-// is byte-for-byte the original code path.  get_block_q/put_block_q move
-// entries between shards in their stored representation — redistribution
-// never requantizes, so shipping a block is lossless.
+// Storage dtype (CacheConfig::dtype): every block is stored as a
+// quant::QTensor of the shard's dtype — a bit-exact kF32 repack for fp32
+// shards, quantized on insert for fp16/int8 ones (see tensor/quant.hpp for
+// the format) — and dequantized on fetch, so for compressed shards RAM, the
+// ledger charge, the spill files, and redistribution traffic all shrink
+// 2-4x.  get_blocks/put_block move entries between shards in their stored
+// representation — redistribution never requantizes, so shipping a block
+// is lossless.  Spill files use one format for every dtype.
 //
 // Disk-backed shards additionally support prefetch(): a background reader
 // thread reloads the announced samples into a staging buffer while the
@@ -32,7 +33,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,24 +85,25 @@ class ActivationCache : public pipeline::ActivationRecorder,
   // Single cached activation [T, H] as fp32 (dequantized when the shard is
   // compressed); throws CacheMissError if absent.
   Tensor get_block(std::int64_t sample_id, std::int64_t block_index) const;
+  // A sample's stored blocks, indexed by block (undefined where none was
+  // recorded); a spilled sample is read from disk once.  The lossless
+  // source for shard-to-shard moves (redistribution, salvage).  Throws
+  // CacheMissError if the sample is absent.
+  std::vector<quant::QTensor> get_blocks(std::int64_t sample_id) const;
+  // Stores a block.  A payload of the shard's dtype is stored verbatim; a
+  // mismatched one is converted through fp32 (at most one requantization).
   void put_block(std::int64_t sample_id, std::int64_t block_index,
-                 Tensor activation);
-  // The stored representation of a block: compressed shards return the
-  // quantized bytes verbatim, fp32 shards a bit-exact kF32 repack.  The
-  // lossless pair for shard-to-shard moves (redistribution, salvage).
-  quant::QTensor get_block_q(std::int64_t sample_id,
-                             std::int64_t block_index) const;
-  // Stores a block in its wire representation.  A payload matching the
-  // shard dtype is stored verbatim; a mismatched one is converted through
-  // fp32 (at most one requantization).
-  void put_block_q(std::int64_t sample_id, std::int64_t block_index,
-                   quant::QTensor payload);
+                 quant::QTensor payload);
+  void put_block(std::int64_t sample_id, std::int64_t block_index,
+                 const Tensor& activation) {
+    put_block(sample_id, block_index, quant::quantize(activation, dtype()));
+  }
   // Drops a sample's blocks from this shard (after shipping them away).
   void drop_sample(std::int64_t sample_id);
   // Salvage: loads every spilled sample file found in `directory` (another
   // shard's on-disk cache — e.g. a dead device's flash store) into this
-  // shard, skipping samples already held.  Handles both the fp32 and the
-  // compressed spill formats.  Returns samples absorbed.
+  // shard, skipping samples already held.  Spilled blocks of another dtype
+  // are converted like put_block.  Returns samples absorbed.
   std::int64_t absorb_spilled_directory(const std::string& directory);
 
   std::int64_t num_blocks() const { return config_.num_blocks; }
@@ -113,10 +114,7 @@ class ActivationCache : public pipeline::ActivationRecorder,
 
  private:
   struct Entry {
-    // Exactly one of blocks/qblocks is populated: blocks for fp32 shards,
-    // qblocks for fp16/int8 shards (and for salvaged compressed entries).
-    std::vector<Tensor> blocks;  // per-block activations [T, H]
-    std::vector<std::optional<quant::QTensor>> qblocks;
+    std::vector<quant::QTensor> blocks;  // per-block activations [T, H]
     std::int64_t present = 0;  // how many blocks are defined
     bool spilled = false;      // on disk, RAM copy evicted
     std::uint64_t spilled_bytes = 0;
@@ -137,19 +135,16 @@ class ActivationCache : public pipeline::ActivationRecorder,
     std::thread thread;
   };
 
-  bool quantized() const { return config_.dtype != quant::Dtype::kF32; }
   std::string sample_path(std::int64_t sample_id) const;
   void maybe_spill(std::int64_t sample_id, Entry& entry);
   Entry load_spilled(std::int64_t sample_id) const;
-  // Parses one spill stream (either format) into a RAM entry.
+  // Parses one spill stream into a RAM entry.
   static Entry read_spilled_entry(std::istream& in);
   void charge(std::uint64_t bytes);
   void refund(std::uint64_t bytes);
 
   void put_block_locked(std::int64_t sample_id, std::int64_t block_index,
-                        Tensor activation);
-  void put_qblock_locked(std::int64_t sample_id, std::int64_t block_index,
-                         quant::QTensor q);
+                        quant::QTensor payload);
   void drop_sample_locked(std::int64_t sample_id);
   void prefetch_main() const;
   void stop_prefetcher();

@@ -91,7 +91,7 @@ void unpack_frame(const Tensor& header, const quant::QTensor& payload,
       q.scales.assign(s, s + rows);
     }
     row += rows;
-    shard.put_block_q(sample, block, std::move(q));
+    shard.put_block(sample, block, std::move(q));
     ++stats.items_received;
   }
   PAC_CHECK(row == payload.rows(),
@@ -113,16 +113,15 @@ RedistStats redistribute_cache(
   PAC_CHECK(members.count(me) == 1,
             "redistribute_cache group must contain the calling rank");
 
-  // Partition held blocks by destination.
-  std::map<int, std::vector<std::pair<std::int64_t, std::int64_t>>> outgoing;
+  // Partition the samples holding blocks by destination, in id order.
+  std::map<int, std::vector<std::int64_t>> outgoing;
   std::set<std::int64_t> shipped_samples;
   for (const auto& [sample, block] : shard.held_blocks()) {
     const int dst = target_of_sample(sample);
     PAC_CHECK(members.count(dst) == 1,
               "redistribution target " << dst << " is not in the group");
-    if (dst == me) continue;
-    outgoing[dst].emplace_back(sample, block);
-    shipped_samples.insert(sample);
+    if (dst == me || !shipped_samples.insert(sample).second) continue;
+    outgoing[dst].push_back(sample);
   }
 
   // Stream each peer its blocks as frames, then a trailer with the frame
@@ -138,18 +137,23 @@ RedistStats redistribute_cache(
       const auto k = static_cast<std::int64_t>(frame.header.size() / 3);
       ctx.comm.send(peer, tag_header,
                     Tensor::from_vector({k, 3}, frame.header));
-      ctx.comm.send_q(peer, tag_payload, std::move(frame.payload));
+      ctx.comm.send(peer, tag_payload, frame.payload);
       frame = Frame{};
       ++frames;
     };
     const auto it = outgoing.find(peer);
     if (it != outgoing.end()) {
-      for (const auto& [sample, block] : it->second) {
-        const quant::QTensor q = shard.get_block_q(sample, block);
-        if (!frame.accepts(q)) ship();
-        frame.append(sample, block, q);
-        stats.payload_bytes_sent += q.byte_size();
-        ++stats.items_sent;
+      for (std::int64_t sample : it->second) {
+        // One read per sample: a spilled sample's file is parsed once.
+        const std::vector<quant::QTensor> blocks = shard.get_blocks(sample);
+        for (std::size_t block = 0; block < blocks.size(); ++block) {
+          const quant::QTensor& q = blocks[block];
+          if (!q.defined()) continue;
+          if (!frame.accepts(q)) ship();
+          frame.append(sample, static_cast<std::int64_t>(block), q);
+          stats.payload_bytes_sent += q.byte_size();
+          ++stats.items_sent;
+        }
       }
       if (!frame.empty()) ship();
     }
@@ -165,7 +169,8 @@ RedistStats redistribute_cache(
         ctx.comm.recv(peer, tag_count).at({0}));
     for (std::int64_t f = 0; f < frames; ++f) {
       const Tensor header = ctx.comm.recv(peer, tag_header);
-      unpack_frame(header, ctx.comm.recv_q(peer, tag_payload), shard, stats);
+      unpack_frame(header, ctx.comm.recv_payload(peer, tag_payload), shard,
+                   stats);
     }
   }
   obs::CounterRegistry::instance().add(

@@ -51,12 +51,13 @@ inline constexpr std::uint64_t kRedistFrameBytes = 1u << 20;
 // calling thread: zero or more frames, then a one-element trailer holding
 // the frame count.  A frame is a float header tensor [k, 3] of
 // (sample, block, rows) followed by one QTensor [sum rows, row_len] that
-// concatenates the k blocks' stored bytes (get_block_q) row-wise; int8
-// scales concatenate the same way.  Frames close at kRedistFrameBytes and
-// at any change of dtype or row length.  The receiver stores the blocks
-// with put_block_q in the sender's held_blocks() order, so one path moves
-// fp32 (bit-exact kF32 repack), fp16 and int8 shards alike.  Ids must be
-// below 2^24, the largest range a float header holds exactly.
+// concatenates the k blocks' stored bytes row-wise (get_blocks, which
+// reads a spilled sample's file once); int8 scales concatenate the same
+// way.  Frames close at kRedistFrameBytes and at any change of dtype or
+// row length.  The receiver stores the blocks with put_block in the
+// sender's held_blocks() order, so one path moves fp32 (bit-exact kF32
+// repack), fp16 and int8 shards alike.  Ids must be below 2^24, the
+// largest range a float header holds exactly.
 RedistStats redistribute_cache(
     dist::DeviceContext& ctx, ActivationCache& shard,
     const std::function<int(std::int64_t)>& target_of_sample,

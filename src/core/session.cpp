@@ -413,13 +413,19 @@ SessionReport Session::run_attempt() {
       PAC_CHECK(fallback >= 0, "no local survivor to salvage into");
       auto& dead_shard = shards[static_cast<std::size_t>(dead)];
       if (dead_shard != nullptr) {
-        for (const auto& [sample, block] : dead_shard->held_blocks()) {
+        for (std::int64_t sample : dead_shard->sample_ids()) {
           int dest = new_target(sample);
           if (!cluster_.rank_is_local(dest)) dest = fallback;
-          // Move the stored representation: lossless for compressed shards
-          // (no requantization) and bit-exact for fp32 ones.
-          shards[static_cast<std::size_t>(dest)]->put_block_q(
-              sample, block, dead_shard->get_block_q(sample, block));
+          // Move the stored representation, reading a spilled sample once:
+          // lossless for compressed shards (no requantization) and
+          // bit-exact for fp32 ones.
+          std::vector<quant::QTensor> blocks = dead_shard->get_blocks(sample);
+          for (std::size_t block = 0; block < blocks.size(); ++block) {
+            if (!blocks[block].defined()) continue;
+            shards[static_cast<std::size_t>(dest)]->put_block(
+                sample, static_cast<std::int64_t>(block),
+                std::move(blocks[block]));
+          }
         }
         dead_shard.reset();
         sources[static_cast<std::size_t>(dead)] = nullptr;

@@ -53,13 +53,11 @@ bool Communicator::has_pending_locked(int to, int tag) const {
   return false;
 }
 
-void Communicator::send_with_retry(int to, int tag, Tensor payload) {
+void Communicator::send_with_retry(int to, int tag,
+                                   const quant::QTensor& payload) {
   for (int attempt = 0;; ++attempt) {
     try {
-      // Tensor copies are shared-storage handle copies, so retrying with a
-      // fresh handle after a transient failure costs nothing.
-      Tensor handle = payload;
-      transport_->send(rank_, to, tag, std::move(handle));
+      transport_->send(rank_, to, tag, payload);
       return;
     } catch (const TransientSendError&) {
       if (attempt >= policy_.max_send_retries) throw;
@@ -71,7 +69,7 @@ void Communicator::send_with_retry(int to, int tag, Tensor payload) {
   }
 }
 
-void Communicator::send(int to, int tag, Tensor payload) {
+void Communicator::send(int to, int tag, const quant::QTensor& payload) {
   {
     std::unique_lock<std::mutex> lk(async_mutex_);
     rethrow_deferred_error();
@@ -82,77 +80,16 @@ void Communicator::send(int to, int tag, Tensor payload) {
     });
     rethrow_deferred_error();
   }
-  send_with_retry(to, tag, std::move(payload));
+  send_with_retry(to, tag, payload);
 }
 
-void Communicator::send_q(int to, int tag, quant::QTensor payload) {
-  {
-    std::unique_lock<std::mutex> lk(async_mutex_);
-    rethrow_deferred_error();
-    drained_cv_.wait(lk, [&] {
-      return deferred_error_ || !has_pending_locked(to, tag);
-    });
-    rethrow_deferred_error();
-  }
-  for (int attempt = 0;; ++attempt) {
-    try {
-      // QTensor copies are deep, but retries only happen under injected
-      // transient faults — never on the clean path.
-      quant::QTensor copy = payload;
-      transport_->send_q(rank_, to, tag, std::move(copy));
-      return;
-    } catch (const TransientSendError&) {
-      if (attempt >= policy_.max_send_retries) throw;
-      obs::CounterRegistry::instance().add("comm.transient_retries", 1);
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          policy_.send_backoff_ms * static_cast<double>(attempt + 1) *
-          backoff_jitter(policy_.backoff_jitter_seed, rank_, attempt)));
-    }
-  }
-}
-
-quant::QTensor Communicator::recv_q(int from, int tag) {
+quant::QTensor Communicator::recv_payload(int from, int tag) {
   {
     std::lock_guard<std::mutex> lk(async_mutex_);
     rethrow_deferred_error();
   }
   if (policy_.recv_timeout_ms <= 0.0) {
-    return transport_->recv_q(rank_, from, tag);
-  }
-  double wait_ms = policy_.recv_timeout_ms;
-  int degraded_windows = 0;
-  for (int attempt = 0; attempt <= policy_.max_recv_retries;) {
-    const double jittered =
-        wait_ms * backoff_jitter(policy_.backoff_jitter_seed, rank_,
-                                 attempt + degraded_windows);
-    auto result = transport_->recv_q_for(
-        rank_, from, tag,
-        std::chrono::milliseconds(
-            std::max<std::int64_t>(1, static_cast<std::int64_t>(jittered))));
-    if (result.has_value()) return std::move(*result);
-    if (transport_->link_degraded(from) &&
-        degraded_windows < policy_.max_degraded_windows) {
-      ++degraded_windows;  // reconnect window: the presumption clock freezes
-      continue;
-    }
-    ++attempt;
-    wait_ms *= 2.0;
-  }
-  transport_->report_root_death(from);
-  throw PeerDeadError(from, "rank " + std::to_string(from) +
-                                " presumed dead: recv_q(tag " +
-                                std::to_string(tag) + ") timed out after " +
-                                std::to_string(policy_.max_recv_retries + 1) +
-                                " attempts");
-}
-
-Tensor Communicator::recv(int from, int tag) {
-  {
-    std::lock_guard<std::mutex> lk(async_mutex_);
-    rethrow_deferred_error();
-  }
-  if (policy_.recv_timeout_ms <= 0.0) {
-    return transport_->recv(rank_, from, tag);
+    return std::move(*transport_->recv_payload(rank_, from, tag));
   }
   double wait_ms = policy_.recv_timeout_ms;
   int degraded_windows = 0;
@@ -163,7 +100,7 @@ Tensor Communicator::recv(int from, int tag) {
     const double jittered =
         wait_ms * backoff_jitter(policy_.backoff_jitter_seed, rank_,
                                  attempt + degraded_windows);
-    auto result = transport_->recv_for(
+    auto result = transport_->recv_payload(
         rank_, from, tag,
         std::chrono::milliseconds(
             std::max<std::int64_t>(1, static_cast<std::int64_t>(jittered))));
@@ -188,10 +125,12 @@ Tensor Communicator::recv(int from, int tag) {
                                 " attempts");
 }
 
-void Communicator::isend(int to, int tag, Tensor payload) {
+void Communicator::isend(int to, int tag, const Tensor& payload) {
+  // Repack before taking the lock; the queued copy is what ships.
+  quant::QTensor packed = quant::quantize(payload);
   std::lock_guard<std::mutex> lk(async_mutex_);
   rethrow_deferred_error();
-  queue_.push_back(QueuedSend{to, tag, std::move(payload)});
+  queue_.push_back(QueuedSend{to, tag, std::move(packed)});
   if (obs::enabled()) {
     obs::CounterRegistry::instance().high_water(
         "comm.isend_queue_depth.rank" + std::to_string(rank_),
@@ -266,7 +205,7 @@ void Communicator::sender_main() {
     int death = -1;
     try {
       PAC_TRACE_SCOPE("sender_send", msg.to, msg.tag);
-      send_with_retry(msg.to, msg.tag, std::move(msg.payload));
+      send_with_retry(msg.to, msg.tag, msg.payload);
     } catch (const RankDeathError& e) {
       error = std::current_exception();
       death = e.rank();
@@ -315,11 +254,11 @@ void Communicator::barrier(const std::vector<int>& group, int tag) {
       recv(group[i], tag);
     }
     for (std::size_t i = 1; i < group.size(); ++i) {
-      send(group[i], tag, token.clone());
+      send(group[i], tag, token);
     }
   } else {
     (void)me;
-    send(root, tag, token.clone());
+    send(root, tag, token);
     recv(root, tag);
   }
 }
@@ -332,7 +271,7 @@ Tensor Communicator::broadcast(Tensor payload, int root,
   if (rank_ == root) {
     for (int peer : group) {
       if (peer == root) continue;
-      send(peer, tag, payload.clone());
+      send(peer, tag, payload);
     }
     return payload;
   }
@@ -363,10 +302,10 @@ void Communicator::allreduce_naive(Tensor& t, const std::vector<int>& group,
       t.add_(part);
     }
     for (std::size_t i = 1; i < group.size(); ++i) {
-      send(group[i], tag, t.clone());
+      send(group[i], tag, t);
     }
   } else {
-    send(root, tag, t.clone());
+    send(root, tag, t);
     Tensor summed = recv(root, tag);
     t.copy_from(summed);
   }
@@ -393,7 +332,7 @@ void Communicator::allreduce_ring(Tensor& t, const std::vector<int>& group,
     const int send_chunk = ((me - step) % g + g) % g;
     const int recv_chunk = ((me - step - 1) % g + g) % g;
     auto [sb, se] = chunk_range(send_chunk);
-    send(next, tag, flat.slice0(sb, se).clone());
+    send(next, tag, flat.slice0(sb, se));
     Tensor in = recv(prev, tag);
     auto [rb, re] = chunk_range(recv_chunk);
     Tensor dst = flat.slice0(rb, re);
@@ -405,7 +344,7 @@ void Communicator::allreduce_ring(Tensor& t, const std::vector<int>& group,
     const int send_chunk = ((me + 1 - step) % g + g) % g;
     const int recv_chunk = ((me - step) % g + g) % g;
     auto [sb, se] = chunk_range(send_chunk);
-    send(next, tag, flat.slice0(sb, se).clone());
+    send(next, tag, flat.slice0(sb, se));
     Tensor in = recv(prev, tag);
     auto [rb, re] = chunk_range(recv_chunk);
     Tensor dst = flat.slice0(rb, re);
@@ -421,7 +360,7 @@ std::vector<Tensor> Communicator::allgather(const Tensor& t,
   std::vector<Tensor> out(group.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
     if (group[i] == rank_) continue;
-    send(group[i], tag, t.clone());
+    send(group[i], tag, t);
   }
   for (std::size_t i = 0; i < group.size(); ++i) {
     if (static_cast<int>(i) == me) {

@@ -24,6 +24,11 @@
 // thread, and EdgeCluster::run additionally consults deferred_death_rank()
 // so an injected death never goes unreported.
 //
+// Payloads: point-to-point traffic carries the transport's one payload
+// type, quant::QTensor, through one send-retry loop and one recv loop; the
+// Tensor overloads and the collectives convert at the call (a kF32 repack
+// on the way out, a dequantize on the way in).
+//
 // Tag discipline: a collective call consumes its `tag` for every internal
 // message; callers must not run two collectives with the same tag
 // concurrently on overlapping groups.  The trainers carve disjoint tag
@@ -120,25 +125,26 @@ class Communicator {
 
   // Retries transient link failures with backoff before giving up.  Waits
   // for queued isends on the same (to, tag) key first so a blocking send
-  // can never overtake the async queue on its own link.
-  void send(int to, int tag, Tensor payload);
-  // Blocks for a matching message; with a recv timeout configured, retries
-  // with backoff and presumes the peer dead once the budget is exhausted.
-  Tensor recv(int from, int tag);
-
-  // Compressed point-to-point (cache redistribution, prefetch): identical
-  // retry/backoff/FIFO semantics, but the payload ships and is charged at
-  // its compressed size.  recv_q of a plain fp32 send returns a bit-exact
-  // kF32 repack; recv of a compressed send dequantizes.
-  void send_q(int to, int tag, quant::QTensor payload);
-  quant::QTensor recv_q(int from, int tag);
+  // can never overtake the async queue on its own link.  The payload ships
+  // and is charged as is (a compressed cache block at its compressed size).
+  void send(int to, int tag, const quant::QTensor& payload);
+  void send(int to, int tag, const Tensor& payload) {
+    send(to, tag, quant::quantize(payload));
+  }
+  // Blocks for a matching message and returns its payload exactly as sent;
+  // with a recv timeout configured, retries with backoff and presumes the
+  // peer dead once the budget is exhausted.
+  quant::QTensor recv_payload(int from, int tag);
+  Tensor recv(int from, int tag) {
+    return quant::dequantize(recv_payload(from, tag));
+  }
 
   // ---- async engine ----
   // Enqueues the message on the background sender thread and returns
   // immediately.  Messages to the same destination are delivered in
   // posting order; a deferred sender failure is rethrown here (and from
   // every other comm entry point) on the next call.
-  void isend(int to, int tag, Tensor payload);
+  void isend(int to, int tag, const Tensor& payload);
   // Posts a receive for (from, tag); the returned future's wait() performs
   // the actual (policy) recv.
   PendingRecv irecv(int from, int tag);
@@ -180,7 +186,7 @@ class Communicator {
   struct QueuedSend {
     int to;
     int tag;
-    Tensor payload;
+    quant::QTensor payload;
   };
 
   int group_index(const std::vector<int>& group) const;
@@ -189,7 +195,7 @@ class Communicator {
 
   // The synchronous retry/backoff send (shared by send and the sender
   // thread).
-  void send_with_retry(int to, int tag, Tensor payload);
+  void send_with_retry(int to, int tag, const quant::QTensor& payload);
   void sender_main();
   void rethrow_deferred_error() const;
   bool has_pending_locked(int to, int tag) const;

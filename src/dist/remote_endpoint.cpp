@@ -54,9 +54,8 @@ void RemoteEndpointBase::deposit(Message msg) {
   box_.arrived.notify_all();
 }
 
-void RemoteEndpointBase::send_framed(
-    int from, int to, int tag, Message msg, std::uint64_t bytes,
-    std::vector<std::uint8_t> (*encode)(const Message&)) {
+void RemoteEndpointBase::send(int from, int to, int tag,
+                              const quant::QTensor& payload) {
   check_rank(from, "send source");
   check_rank(to, "send destination");
   PAC_CHECK(from == rank_, "endpoint of rank " << rank_
@@ -71,43 +70,21 @@ void RemoteEndpointBase::send_framed(
   if (dead_[static_cast<std::size_t>(to)]->load()) {
     throw PeerDeadError(to, "send to dead rank " + std::to_string(to));
   }
+  const std::uint64_t bytes = payload.byte_size();
   run_send_faults(from, to, tag, bytes);
   record_send(from, to, bytes);
   if (to == rank_) {
     // Self-send: deposit locally; the deposit advances the fault sequence.
-    deposit(std::move(msg));
+    deposit(Message{from, tag, payload});
     return;
   }
-  const auto frame = encode(msg);
+  const auto frame = wire::encode_data(from, tag, payload);
   {
     std::lock_guard<std::mutex> guard(
         *send_mutex_[static_cast<std::size_t>(to)]);
     wire_send(to, frame);
   }
   faults_.message_delivered(from, to, tag);
-}
-
-void RemoteEndpointBase::send(int from, int to, int tag, Tensor payload) {
-  Message msg;
-  msg.source = from;
-  msg.tag = tag;
-  msg.payload = std::move(payload);
-  const std::uint64_t bytes = msg.payload_bytes();
-  send_framed(from, to, tag, std::move(msg), bytes, [](const Message& m) {
-    return wire::encode_data(m.source, m.tag, m.payload);
-  });
-}
-
-void RemoteEndpointBase::send_q(int from, int to, int tag,
-                                quant::QTensor payload) {
-  Message msg;
-  msg.source = from;
-  msg.tag = tag;
-  msg.q = std::move(payload);
-  const std::uint64_t bytes = msg.payload_bytes();
-  send_framed(from, to, tag, std::move(msg), bytes, [](const Message& m) {
-    return wire::encode_data_q(m.source, m.tag, *m.q);
-  });
 }
 
 std::optional<Message> RemoteEndpointBase::recv_impl(
@@ -144,7 +121,7 @@ std::optional<Message> RemoteEndpointBase::recv_impl(
   if (it != box_.queues.end() && !it->second.empty()) {
     Message msg = std::move(it->second.front());
     it->second.pop_front();
-    record_recv(from, to, msg.payload_bytes());
+    record_recv(from, to, msg.payload.byte_size());
     return msg;
   }
   throw PeerDeadError(from, "recv aborted: rank " + std::to_string(from) +
@@ -154,15 +131,7 @@ std::optional<Message> RemoteEndpointBase::recv_impl(
 void RemoteEndpointBase::handle_frame(wire::Frame frame) {
   switch (frame.type) {
     case wire::FrameType::kData: {
-      Message msg;
-      msg.source = frame.src;
-      msg.tag = frame.tag;
-      if (frame.qpayload.has_value()) {
-        msg.q = std::move(*frame.qpayload);
-      } else if (frame.payload_defined) {
-        msg.payload = std::move(frame.payload);
-      }
-      deposit(std::move(msg));
+      deposit(Message{frame.src, frame.tag, std::move(frame.payload)});
       break;
     }
     case wire::FrameType::kRankDead:

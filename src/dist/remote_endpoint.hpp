@@ -41,8 +41,9 @@ class RemoteEndpointBase : public Transport {
 
   int rank() const { return rank_; }
 
-  void send(int from, int to, int tag, Tensor payload) override;
-  void send_q(int from, int to, int tag, quant::QTensor payload) override;
+  using Transport::send;
+  void send(int from, int to, int tag,
+            const quant::QTensor& payload) override;
   void close() override;
   bool closed() const override { return closed_.load(); }
   void close_rank(int rank) override;
@@ -91,11 +92,6 @@ class RemoteEndpointBase : public Transport {
   static void flush_deferred(Mailbox& box,
                              const std::pair<int, int>* key_or_null);
   void deposit(Message msg);
-  // Shared body of send/send_q: prechecks, fault pipeline, stats, then
-  // either a local deposit (self-send) or a wire_send of `frame`.
-  void send_framed(int from, int to, int tag, Message msg,
-                   std::uint64_t bytes,
-                   std::vector<std::uint8_t> (*encode)(const Message&));
 
   Mailbox box_;
   std::vector<std::unique_ptr<std::atomic<bool>>> dead_;

@@ -113,48 +113,12 @@ void Transport::record_recv(int from, int to, std::uint64_t bytes) {
   }
 }
 
-namespace {
-
-// A compressed message is decompressed only here, at the fp32 consumption
-// point; recv_q callers get the stored bytes untouched.
-Tensor message_to_tensor(Message&& msg) {
-  if (msg.q.has_value()) return quant::dequantize(*msg.q);
-  return std::move(msg.payload);
-}
-
-quant::QTensor message_to_q(Message&& msg) {
-  if (msg.q.has_value()) return std::move(*msg.q);
-  PAC_CHECK(msg.payload.defined(),
-            "recv_q on a message with an undefined payload");
-  return quant::quantize(msg.payload, quant::Dtype::kF32);
-}
-
-}  // namespace
-
-Tensor Transport::recv(int to, int from, int tag) {
-  auto result = recv_impl(to, from, tag, std::nullopt);
-  PAC_CHECK(result.has_value(), "untimed recv returned without a message");
-  return message_to_tensor(std::move(*result));
-}
-
-std::optional<Tensor> Transport::recv_for(int to, int from, int tag,
-                                          std::chrono::milliseconds timeout) {
-  auto result = recv_impl(to, from, tag, timeout);
-  if (!result.has_value()) return std::nullopt;
-  return message_to_tensor(std::move(*result));
-}
-
-quant::QTensor Transport::recv_q(int to, int from, int tag) {
-  auto result = recv_impl(to, from, tag, std::nullopt);
-  PAC_CHECK(result.has_value(), "untimed recv returned without a message");
-  return message_to_q(std::move(*result));
-}
-
-std::optional<quant::QTensor> Transport::recv_q_for(
-    int to, int from, int tag, std::chrono::milliseconds timeout) {
-  auto result = recv_impl(to, from, tag, timeout);
-  if (!result.has_value()) return std::nullopt;
-  return message_to_q(std::move(*result));
+std::optional<quant::QTensor> Transport::recv_payload(
+    int to, int from, int tag,
+    std::optional<std::chrono::milliseconds> timeout) {
+  auto msg = recv_impl(to, from, tag, timeout);
+  if (!msg.has_value()) return std::nullopt;
+  return std::move(msg->payload);
 }
 
 LinkStats Transport::stats(int from, int to) const {
@@ -204,27 +168,8 @@ void InProcTransport::flush_deferred(Mailbox& box,
   box.deferred.clear();
 }
 
-void InProcTransport::send(int from, int to, int tag, Tensor payload) {
-  Message msg;
-  msg.source = from;
-  msg.tag = tag;
-  msg.payload = std::move(payload);
-  const std::uint64_t bytes = msg.payload_bytes();
-  send_message(from, to, tag, std::move(msg), bytes);
-}
-
-void InProcTransport::send_q(int from, int to, int tag,
-                             quant::QTensor payload) {
-  Message msg;
-  msg.source = from;
-  msg.tag = tag;
-  msg.q = std::move(payload);
-  const std::uint64_t bytes = msg.payload_bytes();
-  send_message(from, to, tag, std::move(msg), bytes);
-}
-
-void InProcTransport::send_message(int from, int to, int tag, Message msg,
-                                   std::uint64_t bytes) {
+void InProcTransport::send(int from, int to, int tag,
+                           const quant::QTensor& payload) {
   check_rank(from, "send source");
   check_rank(to, "send destination");
   if (closed_.load()) {
@@ -237,8 +182,10 @@ void InProcTransport::send_message(int from, int to, int tag, Message msg,
   if (dead_[static_cast<std::size_t>(to)]->load()) {
     throw PeerDeadError(to, "send to dead rank " + std::to_string(to));
   }
+  const std::uint64_t bytes = payload.byte_size();
   run_send_faults(from, to, tag, bytes);
   record_send(from, to, bytes);
+  Message msg{from, tag, payload};
   const bool park = faults_.active() && faults_.defer(from, to, tag);
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(to)];
   const auto key = std::make_pair(from, tag);
@@ -292,7 +239,7 @@ std::optional<Message> InProcTransport::recv_impl(
     // still handed out so receivers can finish in-flight work.
     Message msg = std::move(it->second.front());
     it->second.pop_front();
-    record_recv(from, to, msg.payload_bytes());
+    record_recv(from, to, msg.payload.byte_size());
     return msg;
   }
   throw PeerDeadError(from, "recv aborted: rank " + std::to_string(from) +

@@ -8,11 +8,18 @@
 // model; `close()` wakes every blocked receiver with ChannelClosedError so
 // one failing device cannot deadlock the cluster.
 //
+// One payload type: every message carries a quant::QTensor.  fp32 tensors
+// travel as their bit-exact kF32 repack, compressed cache blocks (fp16 /
+// int8) as their stored bytes, and Tensor() as the undefined QTensor, so a
+// payload arrives exactly as it was sent on every backend.  The Tensor
+// send/recv overloads are one-line conversions into that single path; a
+// link is charged the payload's byte_size() either way.
+//
 // Failure model (rank-scoped, identical across backends): `close_rank(r)`
 // marks one device dead without touching the rest of the world.  Receivers
 // blocked on the dead rank wake with PeerDeadError; messages the dead rank
 // already delivered remain receivable (drain semantics); links between live
-// ranks are unaffected.  `recv_for` adds a timeout so callers can detect
+// ranks are unaffected.  A timed `recv_payload` lets callers detect
 // silent stalls and presume a peer dead (Communicator's retry/backoff path).
 //
 // Fault injection: an optional FaultPlan makes the transport misbehave on
@@ -66,16 +73,7 @@ struct LinkModel {
 struct Message {
   int source = -1;
   int tag = 0;
-  Tensor payload;
-  // Compressed payload (fp16/int8): set instead of `payload`, carried
-  // verbatim through mailboxes and wire frames so a quantized tensor
-  // round-trips bit-identically.  recv() dequantizes at the consumer.
-  std::optional<quant::QTensor> q;
-
-  std::uint64_t payload_bytes() const {
-    if (q.has_value()) return q->byte_size();
-    return payload.defined() ? payload.byte_size() : 0;
-  }
+  quant::QTensor payload;
 };
 
 struct LinkStats {
@@ -96,20 +94,23 @@ class Transport {
   int world_size() const { return world_size_; }
   const LinkModel& link() const { return link_; }
 
-  virtual void send(int from, int to, int tag, Tensor payload) = 0;
-  // Ships a compressed payload; the link is charged the compressed bytes.
-  virtual void send_q(int from, int to, int tag, quant::QTensor payload) = 0;
-  // Blocks until a message with (from, tag) arrives at `to`.  A compressed
-  // message is dequantized here, at the consumption point.
-  Tensor recv(int to, int from, int tag);
-  // Bounded wait: nullopt on timeout (still throws on close / dead peer).
-  std::optional<Tensor> recv_for(int to, int from, int tag,
-                                 std::chrono::milliseconds timeout);
-  // Compressed receive: returns the QTensor exactly as sent (a plain fp32
-  // send arrives as a bit-exact kF32 repack).
-  quant::QTensor recv_q(int to, int from, int tag);
-  std::optional<quant::QTensor> recv_q_for(int to, int from, int tag,
-                                           std::chrono::milliseconds timeout);
+  // Delivers `payload` to `to`'s mailbox under (from, tag); the link is
+  // charged payload.byte_size().
+  virtual void send(int from, int to, int tag,
+                    const quant::QTensor& payload) = 0;
+  void send(int from, int to, int tag, const Tensor& payload) {
+    send(from, to, tag, quant::quantize(payload));
+  }
+  // Blocks until a message with (from, tag) arrives at `to` and returns its
+  // payload exactly as sent.  With a timeout, nullopt once it expires
+  // (close / dead peer still throw).
+  std::optional<quant::QTensor> recv_payload(
+      int to, int from, int tag,
+      std::optional<std::chrono::milliseconds> timeout = std::nullopt);
+  // fp32 receive: the payload dequantized at the consumption point.
+  Tensor recv(int to, int from, int tag) {
+    return quant::dequantize(*recv_payload(to, from, tag));
+  }
 
   // Wakes all blocked receivers with ChannelClosedError; subsequent sends
   // and recvs throw too.  Used on whole-cluster teardown.
@@ -178,8 +179,9 @@ class InProcTransport final : public Transport {
   explicit InProcTransport(int world_size, LinkModel link = {},
                            FaultPlan faults = {});
 
-  void send(int from, int to, int tag, Tensor payload) override;
-  void send_q(int from, int to, int tag, quant::QTensor payload) override;
+  using Transport::send;
+  void send(int from, int to, int tag,
+            const quant::QTensor& payload) override;
   void close() override;
   bool closed() const override;
   void close_rank(int rank) override;
@@ -198,9 +200,6 @@ class InProcTransport final : public Transport {
   // Caller must hold box.mutex.
   static void flush_deferred(Mailbox& box,
                              const std::pair<int, int>* key_or_null);
-  // Shared body of send/send_q: fault pipeline, stats, mailbox deposit.
-  void send_message(int from, int to, int tag, Message msg,
-                    std::uint64_t bytes);
   std::optional<Message> recv_impl(
       int to, int from, int tag,
       const std::optional<std::chrono::milliseconds>& timeout) override;

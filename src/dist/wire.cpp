@@ -65,7 +65,7 @@ inline std::uint64_t rotl64(std::uint64_t x, int b) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_data(int src, int tag,
-                                      const Tensor& payload) {
+                                      const quant::QTensor& payload) {
   Header h;
   h.magic = kMagic;
   h.type = static_cast<std::uint8_t>(FrameType::kData);
@@ -74,35 +74,16 @@ std::vector<std::uint8_t> encode_data(int src, int tag,
   std::string body;
   if (payload.defined()) {
     h.flags = kFlagDefinedPayload;
+    h.dtype = static_cast<std::uint8_t>(payload.dtype);
     std::ostringstream os(std::ios::binary);
     BinaryWriter w(os);
-    const auto& shape = payload.shape();
-    w.write_u32(static_cast<std::uint32_t>(shape.size()));
-    w.write_i64s(shape.data(), shape.size());
-    w.write_floats(payload.data(), static_cast<std::size_t>(payload.numel()));
+    w.write_u32(static_cast<std::uint32_t>(payload.shape.size()));
+    w.write_i64s(payload.shape.data(), payload.shape.size());
+    w.write_floats(payload.scales.data(), payload.scales.size());
+    w.write_bytes(payload.data.data(), payload.data.size());
     body = os.str();
   }
   return finish_frame(h, body);
-}
-
-std::vector<std::uint8_t> encode_data_q(int src, int tag,
-                                        const quant::QTensor& payload) {
-  Header h;
-  h.magic = kMagic;
-  h.type = static_cast<std::uint8_t>(FrameType::kData);
-  h.flags = kFlagDefinedPayload;
-  h.dtype = static_cast<std::uint8_t>(payload.dtype);
-  h.src = static_cast<std::int32_t>(src);
-  h.tag = static_cast<std::int32_t>(tag);
-  std::ostringstream os(std::ios::binary);
-  BinaryWriter w(os);
-  w.write_u32(static_cast<std::uint32_t>(payload.shape.size()));
-  w.write_i64s(payload.shape.data(), payload.shape.size());
-  if (payload.dtype == quant::Dtype::kI8) {
-    w.write_floats(payload.scales.data(), payload.scales.size());
-  }
-  w.write_bytes(payload.data.data(), payload.data.size());
-  return finish_frame(h, os.str());
 }
 
 std::vector<std::uint8_t> encode_control(FrameType type, int src) {
@@ -317,8 +298,6 @@ std::optional<Frame> FrameDecoder::next() {
   frame.type = type;
   frame.src = static_cast<int>(h.src);
   frame.tag = static_cast<int>(h.tag);
-  frame.payload_defined = defined;
-  frame.dtype = static_cast<quant::Dtype>(h.dtype);
   if (type == FrameType::kResync) {
     std::uint8_t body[kResyncBodyBytes];
     std::copy(buffer_.begin() + kHeaderBytes,
@@ -341,7 +320,8 @@ std::optional<Frame> FrameDecoder::next() {
     if (h.body_len < 4 + 8ull * ndim) poison("tensor body truncates dims");
     Shape shape(ndim);
     r.read_i64s(shape.data(), ndim);
-    const std::uint64_t elem_bytes = quant::element_bytes(frame.dtype);
+    const auto dtype = static_cast<quant::Dtype>(h.dtype);
+    const std::uint64_t elem_bytes = quant::element_bytes(dtype);
     std::uint64_t numel = 1;
     for (std::int64_t d : shape) {
       if (d < 0) poison("negative tensor dimension");
@@ -359,7 +339,7 @@ std::optional<Frame> FrameDecoder::next() {
         ndim == 0 ? 1 : static_cast<std::uint64_t>(shape.back());
     const std::uint64_t rows = row_len == 0 ? 0 : numel / row_len;
     const std::uint64_t scale_bytes =
-        frame.dtype == quant::Dtype::kI8 ? 4ull * rows : 0;
+        dtype == quant::Dtype::kI8 ? 4ull * rows : 0;
     const std::uint64_t expected =
         4 + 8ull * ndim + scale_bytes + elem_bytes * numel;
     if (expected != h.body_len) {
@@ -367,22 +347,13 @@ std::optional<Frame> FrameDecoder::next() {
              std::to_string(h.body_len) + ", dims imply " +
              std::to_string(expected));
     }
-    if (frame.dtype == quant::Dtype::kF32) {
-      Tensor payload = Tensor::zeros(shape);
-      r.read_floats(payload.data(), static_cast<std::size_t>(numel));
-      frame.payload = std::move(payload);
-    } else {
-      quant::QTensor q;
-      q.dtype = frame.dtype;
-      q.shape = std::move(shape);
-      if (frame.dtype == quant::Dtype::kI8) {
-        q.scales.resize(static_cast<std::size_t>(rows));
-        r.read_floats(q.scales.data(), q.scales.size());
-      }
-      q.data.resize(static_cast<std::size_t>(elem_bytes * numel));
-      r.read_bytes(q.data.data(), q.data.size());
-      frame.qpayload = std::move(q);
-    }
+    quant::QTensor& q = frame.payload;
+    q.dtype = dtype;
+    q.shape = std::move(shape);
+    q.scales.resize(static_cast<std::size_t>(scale_bytes / 4));
+    r.read_floats(q.scales.data(), q.scales.size());
+    q.data.resize(static_cast<std::size_t>(elem_bytes * numel));
+    r.read_bytes(q.data.data(), q.data.size());
   }
   buffer_.erase(buffer_.begin(),
                 buffer_.begin() + static_cast<std::ptrdiff_t>(total));

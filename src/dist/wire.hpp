@@ -13,17 +13,18 @@
 //     u8  dtype      quant::Dtype of a defined DATA payload (0 = fp32,
 //                    1 = fp16, 2 = int8); must be zero otherwise.  fp32
 //                    frames are byte-identical to the original format,
-//                    which reserved this byte as zero.
+//                    which reserved this byte as zero (pinned to literal
+//                    bytes in tests/quant_test.cpp).
 //     u8  reserved   must be zero
 //     i32 src        DATA: source rank · HELLO / RESYNC: sending rank ·
 //                    RANK_DEAD / ROOT_DEAD: the dead rank · CLOSE: ignored
 //     i32 tag        DATA: message tag · otherwise zero
 //     u32 body_len   bytes that follow the header (before any auth tag)
-//   body (DATA with a defined payload):
-//     fp32: u32 ndim, i64 dims[ndim], f32 data[numel]
-//     fp16: u32 ndim, i64 dims[ndim], u16 data[numel]
-//     int8: u32 ndim, i64 dims[ndim], f32 scales[rows], i8 data[numel]
-//           (rows = numel / dims[ndim-1], the per-row scale count)
+//   body (DATA with a defined payload) — one layout for every dtype, the
+//   QTensor's dims, its scales (int8 only) and its raw element bytes:
+//     u32 ndim, i64 dims[ndim], f32 scales[rows], data[numel * elem_bytes]
+//     fp32: no scales, f32 elements · fp16: no scales, u16 elements ·
+//     int8: rows = numel / dims[ndim-1] scales, i8 elements
 //   body (RESYNC), 12 bytes:
 //     u32 epoch      per-link session epoch (sender: the epoch it proposes
 //                    for the new connection; receiver reply: the adopted
@@ -40,7 +41,7 @@
 // BEFORE parsing the body, and poisons itself on any mismatch — a tampered
 // frame can never reach a mailbox.  A decoder without a key rejects
 // authenticated frames; unauthenticated fp32 frames stay byte-identical to
-// the legacy format.
+// the original format.
 //
 // FrameDecoder consumes an arbitrary byte stream incrementally — frames may
 // arrive truncated, split across reads, or concatenated — and yields whole
@@ -58,7 +59,6 @@
 #include <vector>
 
 #include "tensor/quant.hpp"
-#include "tensor/tensor.hpp"
 
 namespace pac::dist::wire {
 
@@ -91,23 +91,17 @@ struct Frame {
   FrameType type = FrameType::kData;
   int src = -1;
   int tag = 0;
-  bool payload_defined = false;
-  quant::Dtype dtype = quant::Dtype::kF32;
-  Tensor payload;  // defined only for fp32 DATA frames with the defined flag
-  // Compressed payload for fp16/int8 DATA frames (payload stays undefined;
-  // the receiving endpoint dequantizes only if the consumer asks for fp32).
-  std::optional<quant::QTensor> qpayload;
+  // DATA: the payload exactly as sent; undefined unless the frame carries
+  // the defined-payload flag.
+  quant::QTensor payload;
   // RESYNC fields (see header comment).
   std::uint32_t resync_epoch = 0;
   std::uint64_t resync_delivered = 0;
 };
 
 // Serializes a frame to bytes ready for a ring or socket write.
-std::vector<std::uint8_t> encode_data(int src, int tag, const Tensor& payload);
-// Compressed variant; a kF32 QTensor encodes byte-identically to
-// encode_data of the equivalent fp32 tensor.
-std::vector<std::uint8_t> encode_data_q(int src, int tag,
-                                        const quant::QTensor& payload);
+std::vector<std::uint8_t> encode_data(int src, int tag,
+                                      const quant::QTensor& payload);
 std::vector<std::uint8_t> encode_control(FrameType type, int src);
 std::vector<std::uint8_t> encode_resync(int src, std::uint32_t epoch,
                                         std::uint64_t delivered);

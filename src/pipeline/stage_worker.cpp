@@ -253,11 +253,11 @@ int StageWorker::owner_rank(int stage, std::int64_t micro) const {
 
 // ---- shared recv/send helpers (train forward + eval) -------------------
 
-void StageWorker::comm_send(int to, int tag, Tensor payload) {
+void StageWorker::comm_send(int to, int tag, const Tensor& payload) {
   if (async_comm_) {
-    ctx_.comm.isend(to, tag, std::move(payload));
+    ctx_.comm.isend(to, tag, payload);
   } else {
-    ctx_.comm.send(to, tag, std::move(payload));
+    ctx_.comm.send(to, tag, payload);
   }
 }
 

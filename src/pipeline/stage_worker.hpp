@@ -165,7 +165,7 @@ class StageWorker {
                                           const MicroSlice& ms);
   void send_forward_outputs(const MicroSlice& ms, model::FlowState& state);
   // isend in async mode, blocking send otherwise.
-  void comm_send(int to, int tag, Tensor payload);
+  void comm_send(int to, int tag, const Tensor& payload);
   // Pre-posts irecv futures for every op of the mini-batch (async mode).
   void post_receives(const std::vector<MicroSlice>& micros,
                      const std::vector<PipeOp>& ops);

@@ -274,7 +274,7 @@ QTensor quantize_rows(const float* src, Shape shape, Dtype dtype) {
 }
 
 QTensor quantize(const Tensor& t, Dtype dtype) {
-  PAC_CHECK(t.defined(), "quantize on undefined tensor");
+  if (!t.defined()) return {};
   return quantize_rows(t.data(), t.shape(), dtype);
 }
 
@@ -314,6 +314,7 @@ void dequantize_into(const QTensor& q, float* dst) {
 }
 
 Tensor dequantize(const QTensor& q) {
+  if (!q.defined()) return {};
   Tensor out(q.shape);
   dequantize_into(q, out.data());
   return out;

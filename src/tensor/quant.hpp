@@ -16,8 +16,9 @@
 // use; both dispatch AVX-512 / AVX2+F16C / scalar at compile time like the
 // GEMM micro-kernel (quant.cpp is the second TU on -march=native — see
 // src/tensor/CMakeLists.txt).  A kF32 QTensor is a bit-exact repack of the
-// float storage, which is what keeps fp32 wire frames byte-identical to
-// the legacy encoding.
+// float storage, so QTensor is the one payload type the mailboxes, wire
+// frames and cache shards carry: fp32 traffic travels as kF32 and its wire
+// frames stay byte-identical to the original fp32 encoding.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +38,17 @@ const char* dtype_name(Dtype d);
 
 // Compressed tensor: raw element storage plus (int8 only) per-row scales.
 // Rows are the last dimension's vectors; a rank-0 scalar is one row of one
-// element.  Carried by value through mailboxes and wire frames.
+// element.  Carried by value through mailboxes and wire frames.  A
+// default-constructed QTensor (no shape, no bytes) is the undefined
+// payload, the counterpart of Tensor(): every defined tensor, even a rank-0
+// scalar, owns at least one element byte.
 struct QTensor {
   Dtype dtype = Dtype::kF32;
   Shape shape;
   std::vector<std::uint8_t> data;  // numel * element_bytes(dtype)
   std::vector<float> scales;       // int8: rows() entries, else empty
 
+  bool defined() const { return !shape.empty() || !data.empty(); }
   std::int64_t numel() const {
     std::int64_t n = 1;
     for (std::int64_t d : shape) n *= d;
@@ -63,12 +68,14 @@ struct QTensor {
   }
 };
 
-// Compress a contiguous fp32 tensor.  kF32 is a bit-exact repack.
-QTensor quantize(const Tensor& t, Dtype dtype);
+// Compress a contiguous fp32 tensor.  kF32 is a bit-exact repack; an
+// undefined tensor maps to the undefined QTensor.
+QTensor quantize(const Tensor& t, Dtype dtype = Dtype::kF32);
 // Same, straight from a raw contiguous buffer (the cache quantizes batch
 // row slices without materialising a Tensor clone first).
 QTensor quantize_rows(const float* src, Shape shape, Dtype dtype);
 
+// Inverse of quantize (the undefined QTensor maps back to Tensor()).
 Tensor dequantize(const QTensor& q);
 // Decompress into caller-owned storage of q.numel() floats (the cache
 // writes straight into the assembled [n, T, H] batch).

@@ -12,6 +12,7 @@
 #include "cache/activation_cache.hpp"
 #include "cache/redistribution.hpp"
 #include "dist/transport_factories.hpp"
+#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace pac::cache {
@@ -296,8 +297,8 @@ Snapshot snapshot(const std::vector<std::unique_ptr<ActivationCache>>& shards) {
   for (const auto& shard : shards) {
     if (shard == nullptr) continue;
     for (const auto& key : shard->held_blocks()) {
-      EXPECT_TRUE(out.emplace(key, shard->get_block_q(key.first, key.second))
-                      .second)
+      const auto block = static_cast<std::size_t>(key.second);
+      EXPECT_TRUE(out.emplace(key, shard->get_blocks(key.first)[block]).second)
           << "block held twice before redistribution";
     }
   }
@@ -320,7 +321,8 @@ void expect_delivered(
       }
       ASSERT_TRUE(shards[r]->has_block(sample, block))
           << "(" << sample << ", " << block << ") missing on rank " << r;
-      const quant::QTensor got = shards[r]->get_block_q(sample, block);
+      const quant::QTensor got =
+          shards[r]->get_blocks(sample)[static_cast<std::size_t>(block)];
       EXPECT_EQ(got.dtype, want.dtype);
       EXPECT_EQ(got.shape, want.shape);
       EXPECT_EQ(got.data, want.data);
@@ -413,6 +415,47 @@ TEST_P(RedistProtocolTest, SalvagedAndMixedShapeBlocksArriveByteIdentical) {
   EXPECT_EQ(stats[0].items_sent, 8U);
   EXPECT_EQ(stats[0].frames_sent, 8U);
   EXPECT_EQ(stats[1].items_received, 8U);
+}
+
+TEST_P(RedistProtocolTest, DiskShardReadsEachSpilledSampleOnce) {
+  // A flash-backed shard ships every spilled sample from one read of its
+  // file (one cache_load span), not one read per block.
+  constexpr std::int64_t kSamples = 5;
+  constexpr std::int64_t kBlocks = 4;
+  const std::string dir = "/tmp/" + unique_name("pac_redist_reads_");
+  std::filesystem::remove_all(dir);
+  RedistWorld world(GetParam(), 2);
+  std::vector<std::unique_ptr<ActivationCache>> shards;
+  CacheConfig flash = disk_cfg(kBlocks, dir);
+  flash.dtype = quant::Dtype::kF16;
+  shards.push_back(std::make_unique<ActivationCache>(flash));
+  shards.push_back(
+      std::make_unique<ActivationCache>(typed_cfg(kBlocks, flash.dtype)));
+  Rng rng(8);
+  for (std::int64_t s = 0; s < kSamples; ++s) {
+    for (std::int64_t b = 0; b < kBlocks; ++b) {
+      shards[0]->put_block(s, b, Tensor::randn({3, 8}, rng));
+    }
+  }
+  ASSERT_EQ(shards[0]->memory_bytes(), 0U);  // every sample spilled
+  const Snapshot before = snapshot(shards);
+  const auto target = [](std::int64_t) { return 1; };
+  std::map<std::int64_t, int> reads;
+  std::int64_t total_reads = 0;
+  {
+    obs::TraceSession trace;
+    world.redistribute(shards, target, {0, 1});
+    for (const obs::SpanRecord& span : trace.spans()) {
+      if (std::string(span.name) != "cache_load") continue;
+      ++reads[span.args[0]];
+      ++total_reads;
+    }
+  }
+  EXPECT_EQ(total_reads, kSamples);
+  EXPECT_EQ(reads.size(), static_cast<std::size_t>(kSamples));
+  expect_delivered(before, shards, target);
+  shards.clear();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_P(RedistProtocolTest, ShardOverTheFrameCapSplits) {

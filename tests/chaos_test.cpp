@@ -207,7 +207,7 @@ TEST(ChaosTest, RankDeathInPhase2ResumesFromLastCommittedEpoch) {
 TEST(ChaosTest, Phase2DeathSalvagesCompressedDiskShardAndConverges) {
   // Same phase-2 kill schedule, but with an int8 disk-backed cache: the
   // dead device's blocks live in compressed spill files, so salvage and
-  // re-sharding move quantized bytes (get_block_q reloads the compressed
+  // re-sharding move quantized bytes (get_blocks reloads the compressed
   // shard from flash, redistribution ships it verbatim).  Recovery must
   // converge exactly like the fp32 variant above.
   namespace fs = std::filesystem;
@@ -758,12 +758,12 @@ TEST(ChaosTest, RecvTimeoutPresumesPeerDead) {
 
 TEST(ChaosTest, RecvForReturnsNulloptOnTimeoutOnly) {
   dist::InProcTransport t(2);
-  EXPECT_EQ(t.recv_for(0, 1, 3, std::chrono::milliseconds(5)),
+  EXPECT_EQ(t.recv_payload(0, 1, 3, std::chrono::milliseconds(5)),
             std::nullopt);
   t.send(1, 0, 3, Tensor::full({1}, 9.0F));
-  auto got = t.recv_for(0, 1, 3, std::chrono::milliseconds(5));
+  auto got = t.recv_payload(0, 1, 3, std::chrono::milliseconds(5));
   ASSERT_TRUE(got.has_value());
-  EXPECT_FLOAT_EQ(got->at({0}), 9.0F);
+  EXPECT_FLOAT_EQ(quant::dequantize(*got).at({0}), 9.0F);
 }
 
 // ---- fault injector unit behaviour ----

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "model/checkpoint.hpp"
 #include "model/model.hpp"
@@ -12,7 +14,14 @@
 namespace pac::model {
 namespace {
 
-const char* kPath = "/tmp/pac_checkpoint_test.bin";
+// A file of the running test's own (suite, test name and pid under
+// TempDir()), so tests that ctest -j runs in parallel never share one.
+std::string scratch_path(const std::string& stem) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "pac_" + stem + "_" +
+         info->test_suite_name() + "_" + info->name() + "_" +
+         std::to_string(::getpid()) + ".bin";
+}
 
 Model make_model(std::uint64_t seed) {
   TechniqueConfig tc;
@@ -22,10 +31,11 @@ Model make_model(std::uint64_t seed) {
 }
 
 TEST(CheckpointTest, FullRoundTrip) {
+  const std::string path = scratch_path("checkpoint");
   Model a = make_model(1);
-  save_parameters(a.parameters(), kPath);
+  save_parameters(a.parameters(), path);
   Model b = make_model(2);  // different init
-  const std::size_t loaded = load_parameters(b.parameters(), kPath);
+  const std::size_t loaded = load_parameters(b.parameters(), path);
   EXPECT_EQ(loaded, a.parameters().size());
   auto pa = a.parameters();
   auto pb = b.parameters();
@@ -34,10 +44,11 @@ TEST(CheckpointTest, FullRoundTrip) {
     EXPECT_EQ(ops::max_abs_diff(pa[i]->value(), pb[i]->value()), 0.0F)
         << pa[i]->name();
   }
-  std::filesystem::remove(kPath);
+  std::filesystem::remove(path);
 }
 
 TEST(CheckpointTest, TrainableSubsetRestoresAdapters) {
+  const std::string path = scratch_path("checkpoint");
   Model a = make_model(3);
   // Perturb trainable params so the checkpoint differs from fresh init.
   Rng rng(9);
@@ -45,11 +56,11 @@ TEST(CheckpointTest, TrainableSubsetRestoresAdapters) {
     Tensor noise = Tensor::randn(p->value().shape(), rng, 0.1F);
     p->value().add_(noise);
   }
-  save_trainable_parameters(a.parameters(), kPath);
+  save_trainable_parameters(a.parameters(), path);
 
   Model b = make_model(3);  // same seed: identical backbone
   const std::size_t loaded =
-      load_parameters(b.parameters(), kPath, LoadMode::kSubset);
+      load_parameters(b.parameters(), path, LoadMode::kSubset);
   EXPECT_EQ(loaded, a.trainable_parameters().size());
   auto ta = a.trainable_parameters();
   auto tb = b.trainable_parameters();
@@ -58,49 +69,53 @@ TEST(CheckpointTest, TrainableSubsetRestoresAdapters) {
   }
   // Strict mode must reject the adapter-only file.
   Model c = make_model(3);
-  EXPECT_THROW(load_parameters(c.parameters(), kPath, LoadMode::kStrict),
+  EXPECT_THROW(load_parameters(c.parameters(), path, LoadMode::kStrict),
                InvalidArgument);
-  std::filesystem::remove(kPath);
+  std::filesystem::remove(path);
 }
 
 TEST(CheckpointTest, ShapeMismatchRejected) {
+  const std::string path = scratch_path("checkpoint");
   Model a = make_model(5);
-  save_parameters(a.parameters(), kPath);
+  save_parameters(a.parameters(), path);
   TechniqueConfig tc;
   tc.technique = Technique::kParallelAdapters;
   tc.pa_reduction = 2;  // different side width -> shape mismatch
   Model b(tiny(2, 16, 2, 32, 8), tc, TaskSpec{}, 5);
-  EXPECT_THROW(load_parameters(b.parameters(), kPath), InvalidArgument);
-  std::filesystem::remove(kPath);
+  EXPECT_THROW(load_parameters(b.parameters(), path), InvalidArgument);
+  std::filesystem::remove(path);
 }
 
 TEST(CheckpointTest, UnknownNameRejected) {
+  const std::string path = scratch_path("checkpoint");
   Model a = make_model(6);
-  save_parameters(a.parameters(), kPath);
+  save_parameters(a.parameters(), path);
   // A model with fewer layers lacks some checkpointed names.
   TechniqueConfig tc;
   tc.technique = Technique::kParallelAdapters;
   tc.pa_reduction = 4;
   Model b(tiny(1, 16, 2, 32, 8), tc, TaskSpec{}, 6);
-  EXPECT_THROW(load_parameters(b.parameters(), kPath, LoadMode::kSubset),
+  EXPECT_THROW(load_parameters(b.parameters(), path, LoadMode::kSubset),
                InvalidArgument);
-  std::filesystem::remove(kPath);
+  std::filesystem::remove(path);
 }
 
 TEST(CheckpointTest, MissingFileAndBadMagic) {
   Model a = make_model(7);
   EXPECT_THROW(load_parameters(a.parameters(), "/tmp/pac_no_such_file.bin"),
                Error);
-  std::ofstream bad("/tmp/pac_bad_magic.bin", std::ios::binary);
+  const std::string bad_path = scratch_path("bad_magic");
+  std::ofstream bad(bad_path, std::ios::binary);
   const std::uint32_t junk = 0xdeadbeef;
   bad.write(reinterpret_cast<const char*>(&junk), sizeof(junk));
   bad.close();
-  EXPECT_THROW(load_parameters(a.parameters(), "/tmp/pac_bad_magic.bin"),
+  EXPECT_THROW(load_parameters(a.parameters(), bad_path),
                Error);
-  std::filesystem::remove("/tmp/pac_bad_magic.bin");
+  std::filesystem::remove(bad_path);
 }
 
 TEST(CheckpointTest, ResumedTrainingMatchesUninterrupted) {
+  const std::string path = scratch_path("checkpoint");
   // Train 6 steps straight vs 3 steps + checkpoint + restore + 3 steps.
   Rng rng(11);
   Tensor tokens({4, 8});
@@ -126,9 +141,9 @@ TEST(CheckpointTest, ResumedTrainingMatchesUninterrupted) {
   Model first = make_model(13);
   nn::Sgd opt2(0.05F);
   train_steps(first, opt2, 3);
-  save_parameters(first.parameters(), kPath);
+  save_parameters(first.parameters(), path);
   Model resumed = make_model(99);  // totally different init
-  load_parameters(resumed.parameters(), kPath);
+  load_parameters(resumed.parameters(), path);
   nn::Sgd opt3(0.05F);
   train_steps(resumed, opt3, 3);
 
@@ -138,10 +153,11 @@ TEST(CheckpointTest, ResumedTrainingMatchesUninterrupted) {
     EXPECT_LT(ops::max_abs_diff(ps[i]->value(), pr[i]->value()), 1e-6F)
         << ps[i]->name();
   }
-  std::filesystem::remove(kPath);
+  std::filesystem::remove(path);
 }
 
 TEST(CheckpointTest, AdapterOnlyMidEpochResumeMatchesUninterrupted) {
+  const std::string path = scratch_path("checkpoint");
   // Personal-LLM restart story: a device checkpoints only the adapters
   // mid-epoch (between optimizer steps, not at an epoch boundary) and a
   // fresh process rebuilds the frozen backbone from config + seed, loads
@@ -173,13 +189,13 @@ TEST(CheckpointTest, AdapterOnlyMidEpochResumeMatchesUninterrupted) {
   Model first = make_model(17);
   nn::Sgd opt2(0.05F);
   train_steps(first, opt2, 5);  // dies mid-epoch, 5 of 7 steps done
-  save_trainable_parameters(first.parameters(), kPath);
+  save_trainable_parameters(first.parameters(), path);
 
   // Fresh process: same config/seed regenerate the frozen backbone;
   // only the adapter subset comes from the checkpoint.
   Model resumed = make_model(17);
   const std::size_t loaded =
-      load_parameters(resumed.parameters(), kPath, LoadMode::kSubset);
+      load_parameters(resumed.parameters(), path, LoadMode::kSubset);
   EXPECT_EQ(loaded, first.trainable_parameters().size());
   nn::Sgd opt3(0.05F);
   const double resumed_loss = train_steps(resumed, opt3, 2);
@@ -192,7 +208,7 @@ TEST(CheckpointTest, AdapterOnlyMidEpochResumeMatchesUninterrupted) {
     EXPECT_LT(ops::max_abs_diff(ps[i]->value(), pr[i]->value()), 1e-6F)
         << ps[i]->name();
   }
-  std::filesystem::remove(kPath);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -340,7 +340,7 @@ TEST(TransportTest, SendAndRecvAfterCloseThrow) {
   EXPECT_THROW(t.send(0, 1, 0, Tensor::zeros({1})), ChannelClosedError);
   EXPECT_THROW(t.recv(1, 0, 0), ChannelClosedError);
   // Bounded waits report the closure the same way, not as a timeout.
-  EXPECT_THROW(t.recv_for(1, 0, 0, std::chrono::milliseconds(1)),
+  EXPECT_THROW(t.recv_payload(1, 0, 0, std::chrono::milliseconds(1)),
                ChannelClosedError);
 }
 

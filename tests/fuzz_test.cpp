@@ -300,19 +300,12 @@ std::vector<std::uint8_t> random_wire_frame(Rng& rng, int world,
       const std::int64_t ndim = rng.integer(0, 3);
       Shape shape;
       for (std::int64_t i = 0; i < ndim; ++i) shape.push_back(rng.integer(1, 5));
-      Tensor payload = Tensor::randn(shape, rng);
-      if (rng.bernoulli(0.4)) {
-        // Compressed frame: fp16 or int8 body with per-row scales.
-        const auto dt = rng.bernoulli(0.5) ? quant::Dtype::kF16
-                                           : quant::Dtype::kI8;
-        f.dtype = dt;
-        f.qpayload = quant::quantize(payload, dt);
-        auto bytes = dist::wire::encode_data_q(f.src, f.tag, *f.qpayload);
-        expect.push_back(std::move(f));
-        return bytes;
-      }
-      f.payload = std::move(payload);
-      f.payload_defined = true;
+      // One payload type for every dtype: fp32, fp16, or int8 with
+      // per-row scales.
+      const quant::Dtype dtypes[] = {quant::Dtype::kF32, quant::Dtype::kF16,
+                                     quant::Dtype::kI8};
+      const Tensor payload = Tensor::randn(shape, rng);
+      f.payload = quant::quantize(payload, dtypes[rng.integer(0, 2)]);
     }
     auto bytes = dist::wire::encode_data(f.src, f.tag, f.payload);
     expect.push_back(std::move(f));
@@ -356,22 +349,13 @@ TEST(FuzzTest, WireDecoderReassemblesArbitrarySplits) {
       EXPECT_EQ(got[i].src, sent[i].src);
       if (sent[i].type == FrameType::kData) {
         EXPECT_EQ(got[i].tag, sent[i].tag);
-        EXPECT_EQ(got[i].dtype, sent[i].dtype);
-        ASSERT_EQ(got[i].qpayload.has_value(), sent[i].qpayload.has_value());
-        if (sent[i].qpayload.has_value()) {
-          // Compressed frames must reassemble byte-exactly: same dtype,
-          // shape, scales, and element bytes.
-          EXPECT_EQ(got[i].qpayload->dtype, sent[i].qpayload->dtype);
-          EXPECT_EQ(got[i].qpayload->shape, sent[i].qpayload->shape);
-          EXPECT_EQ(got[i].qpayload->scales, sent[i].qpayload->scales);
-          EXPECT_EQ(got[i].qpayload->data, sent[i].qpayload->data);
-          continue;
-        }
-        ASSERT_EQ(got[i].payload_defined, sent[i].payload_defined);
-        if (sent[i].payload_defined) {
-          ASSERT_EQ(got[i].payload.shape(), sent[i].payload.shape());
-          EXPECT_EQ(ops::max_abs_diff(got[i].payload, sent[i].payload), 0.0F);
-        }
+        // Every payload must reassemble byte-exactly: same definedness,
+        // dtype, shape, scales, and element bytes.
+        EXPECT_EQ(got[i].payload.defined(), sent[i].payload.defined());
+        EXPECT_EQ(got[i].payload.dtype, sent[i].payload.dtype);
+        EXPECT_EQ(got[i].payload.shape, sent[i].payload.shape);
+        EXPECT_EQ(got[i].payload.scales, sent[i].payload.scales);
+        EXPECT_EQ(got[i].payload.data, sent[i].payload.data);
       }
     }
   }
@@ -414,7 +398,8 @@ TEST(FuzzTest, WireDecoderTruncationYieldsExactPrefix) {
 TEST(FuzzTest, WireDecoderRejectsMalformedHeaders) {
   const int kWorld = 4;
   const auto valid =
-      dist::wire::encode_data(1, 5, Tensor::full({2, 2}, 1.0F));
+      dist::wire::encode_data(1, 5,
+                              quant::quantize(Tensor::full({2, 2}, 1.0F)));
 
   auto expect_rejected = [&](std::vector<std::uint8_t> bytes,
                              const char* what) {
@@ -450,7 +435,7 @@ TEST(FuzzTest, WireDecoderRejectsMalformedHeaders) {
     expect_rejected(ctrl, "dtype on control frame");
   }
   {  // dtype on a data frame with no payload
-    auto empty = dist::wire::encode_data(1, 5, Tensor());
+    auto empty = dist::wire::encode_data(1, 5, quant::QTensor{});
     empty[6] = 1;
     expect_rejected(empty, "dtype on undefined payload");
   }
@@ -519,7 +504,7 @@ TEST(FuzzTest, WireScalarTensorRoundTrips) {
   // Rank-0 tensors are valid in-process payloads (Tensor::zeros({}) has
   // numel 1); the wire must agree or the backends silently diverge.
   Tensor scalar = Tensor::full({}, 7.5F);
-  const auto bytes = dist::wire::encode_data(2, 9, scalar);
+  const auto bytes = dist::wire::encode_data(2, 9, quant::quantize(scalar));
   FrameDecoder dec(4);
   dec.feed(bytes.data(), bytes.size());
   auto f = dec.next();
@@ -527,11 +512,11 @@ TEST(FuzzTest, WireScalarTensorRoundTrips) {
   EXPECT_EQ(f->type, FrameType::kData);
   EXPECT_EQ(f->src, 2);
   EXPECT_EQ(f->tag, 9);
-  ASSERT_TRUE(f->payload_defined);
   ASSERT_TRUE(f->payload.defined());
-  EXPECT_EQ(f->payload.shape(), Shape{});
-  EXPECT_EQ(f->payload.numel(), 1);
-  EXPECT_EQ(f->payload.data()[0], 7.5F);
+  const Tensor got = quant::dequantize(f->payload);
+  EXPECT_EQ(got.shape(), Shape{});
+  EXPECT_EQ(got.numel(), 1);
+  EXPECT_EQ(got.data()[0], 7.5F);
   EXPECT_FALSE(dec.next().has_value());
   EXPECT_EQ(dec.pending_bytes(), 0U);
 }
@@ -567,7 +552,7 @@ TEST(FuzzTest, WireAuthTagMutationsAllPoisonCleanly) {
     other[i] = static_cast<std::uint8_t>(0x20 + i);
   }
   const Tensor payload = Tensor::full({2, 2}, 3.5F);
-  auto authed = dist::wire::encode_data(1, 5, payload);
+  auto authed = dist::wire::encode_data(1, 5, quant::quantize(payload));
   dist::wire::authenticate(authed, key);
 
   {  // round trip: an authenticated frame decodes on a keyed link
@@ -578,7 +563,7 @@ TEST(FuzzTest, WireAuthTagMutationsAllPoisonCleanly) {
     ASSERT_TRUE(f.has_value());
     EXPECT_EQ(f->src, 1);
     EXPECT_EQ(f->tag, 5);
-    EXPECT_EQ(ops::max_abs_diff(f->payload, payload), 0.0F);
+    EXPECT_EQ(ops::max_abs_diff(quant::dequantize(f->payload), payload), 0.0F);
     EXPECT_EQ(dec.auth_failures(), 0U);
     EXPECT_EQ(dec.pending_bytes(), 0U);
   }
@@ -609,7 +594,7 @@ TEST(FuzzTest, WireAuthTagMutationsAllPoisonCleanly) {
     expect_auth_rejected(bytes, "flipped header bit");
   }
   {  // signed under the wrong key
-    auto bytes = dist::wire::encode_data(1, 5, payload);
+    auto bytes = dist::wire::encode_data(1, 5, quant::quantize(payload));
     dist::wire::authenticate(bytes, other);
     expect_auth_rejected(bytes, "wrong key");
   }
@@ -622,8 +607,9 @@ TEST(FuzzTest, WireAuthTagMutationsAllPoisonCleanly) {
     expect_auth_rejected(stripped, "auth flag with no tag");
   }
   {  // unauthenticated frame on a keyed link (tag stripping)
-    expect_auth_rejected(dist::wire::encode_data(1, 5, payload),
-                         "unauthenticated frame on keyed link");
+    expect_auth_rejected(
+        dist::wire::encode_data(1, 5, quant::quantize(payload)),
+        "unauthenticated frame on keyed link");
   }
   {  // truncated tag is an incomplete frame, not a decode
     std::vector<std::uint8_t> bytes(authed.begin(), authed.end() - 1);

@@ -1,8 +1,10 @@
 // Cross-module integration scenarios: the personal-agent lifecycle that
 // the library exists for, exercised end to end.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
+#include <string>
 
 #include "common/timer.hpp"
 #include "core/session.hpp"
@@ -36,7 +38,11 @@ TEST(IntegrationTest, PersonalizationLifecycleWithCheckpoint) {
   cfg.epochs = 6;
   cfg.lr = 5e-3F;
 
-  const char* ckpt = "/tmp/pac_integration_ckpt.bin";
+  // Test name and pid under TempDir(): parallel ctest runs never share it.
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string ckpt = ::testing::TempDir() + "pac_" +
+                           info->test_suite_name() + "_" + info->name() +
+                           "_" + std::to_string(::getpid()) + ".bin";
   double day1_metric = 0.0;
   {
     dist::EdgeCluster cluster(3,

@@ -161,13 +161,22 @@ TEST(QuantTest, QuantizeShapesAndScalars) {
 // ---- wire format --------------------------------------------------------
 
 TEST(QuantTest, F32QTensorEncodesByteIdenticallyToLegacyFrame) {
-  Rng rng(99);
-  Tensor x = Tensor::randn({4, 6}, rng);
-  const auto legacy = dist::wire::encode_data(2, 17, x);
-  const auto viaq =
-      dist::wire::encode_data_q(2, 17, quant::quantize(x, Dtype::kF32));
-  ASSERT_EQ(viaq.size(), legacy.size());
-  EXPECT_EQ(std::memcmp(viaq.data(), legacy.data(), legacy.size()), 0);
+  // The original fp32 encoder's frame for this tensor, byte for byte:
+  // header (magic "PACF", DATA, defined flag, dtype 0, src 2, tag 17,
+  // body_len 44), ndim 2, dims {2, 3}, then the six floats.
+  const std::vector<std::uint8_t> golden = {
+      0x46, 0x43, 0x41, 0x50, 0x01, 0x01, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x11, 0x00, 0x00, 0x00, 0x2c, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0,
+      0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0x50, 0x40, 0x00, 0x00, 0x00, 0xbe,
+      0x00, 0x00, 0xe0, 0x40};
+  const Tensor x =
+      Tensor::from_vector({2, 3}, {1.0F, -2.0F, 0.5F, 3.25F, -0.125F, 7.0F});
+  const auto bytes =
+      dist::wire::encode_data(2, 17, quant::quantize(x, Dtype::kF32));
+  ASSERT_EQ(bytes.size(), golden.size());
+  EXPECT_EQ(std::memcmp(bytes.data(), golden.data(), golden.size()), 0);
 }
 
 TEST(QuantTest, CompressedFramesRoundTripThroughDecoder) {
@@ -175,20 +184,20 @@ TEST(QuantTest, CompressedFramesRoundTripThroughDecoder) {
   Tensor x = Tensor::randn({3, 9}, rng);
   for (auto dt : {Dtype::kF16, Dtype::kI8}) {
     const QTensor q = quant::quantize(x, dt);
-    const auto bytes = dist::wire::encode_data_q(1, 44, q);
+    const auto bytes = dist::wire::encode_data(1, 44, q);
     // Compressed bodies are materially smaller than the fp32 frame.
-    EXPECT_LT(bytes.size(), dist::wire::encode_data(1, 44, x).size());
+    EXPECT_LT(bytes.size(),
+              dist::wire::encode_data(1, 44, quant::quantize(x)).size());
     dist::wire::FrameDecoder dec(4);
     dec.feed(bytes.data(), bytes.size());
     auto f = dec.next();
     ASSERT_TRUE(f.has_value());
     EXPECT_EQ(f->src, 1);
     EXPECT_EQ(f->tag, 44);
-    EXPECT_EQ(f->dtype, dt);
-    ASSERT_TRUE(f->qpayload.has_value());
-    EXPECT_EQ(f->qpayload->shape, q.shape);
-    EXPECT_EQ(f->qpayload->scales, q.scales);
-    EXPECT_EQ(f->qpayload->data, q.data);
+    EXPECT_EQ(f->payload.dtype, dt);
+    EXPECT_EQ(f->payload.shape, q.shape);
+    EXPECT_EQ(f->payload.scales, q.scales);
+    EXPECT_EQ(f->payload.data, q.data);
     EXPECT_FALSE(dec.next().has_value());
     EXPECT_EQ(dec.pending_bytes(), 0U);
   }
@@ -235,8 +244,8 @@ TEST(QuantTest, QuantizedCacheStoresFetchesAndCharges) {
             << "dtype " << quant::dtype_name(dt) << " block " << b;
       }
     }
-    // get_block_q returns stored bytes; get_block their dequantization.
-    const QTensor q = shard.get_block_q(0, 0);
+    // get_blocks returns stored bytes; get_block their dequantization.
+    const QTensor q = shard.get_blocks(0)[0];
     EXPECT_EQ(q.dtype, dt);
     EXPECT_EQ(ops::max_abs_diff(shard.get_block(0, 0), quant::dequantize(q)),
               0.0F);
@@ -259,13 +268,12 @@ TEST(QuantTest, QuantizedSpillFilesRoundTripAndSalvage) {
   cache::ActivationCache shard(cc);
 
   Rng rng(271);
-  std::vector<QTensor> stored;
   for (std::int64_t sid = 0; sid < 3; ++sid) {
     for (std::int64_t b = 0; b < 2; ++b) {
       shard.put_block(sid, b, Tensor::randn({4, 8}, rng));
     }
   }
-  for (std::int64_t b = 0; b < 2; ++b) stored.push_back(shard.get_block_q(1, b));
+  std::vector<QTensor> stored = shard.get_blocks(1);
   // Complete samples spilled: RAM empty, compressed bytes on disk.
   EXPECT_EQ(shard.memory_bytes(), 0U);
   EXPECT_GT(shard.total_bytes(), 0U);
@@ -289,7 +297,7 @@ TEST(QuantTest, QuantizedSpillFilesRoundTripAndSalvage) {
   cache::ActivationCache other(cc2);
   EXPECT_EQ(other.absorb_spilled_directory(cc.directory), 3);
   for (std::int64_t b = 0; b < 2; ++b) {
-    const QTensor q = other.get_block_q(1, b);
+    const QTensor q = other.get_blocks(1)[static_cast<std::size_t>(b)];
     EXPECT_EQ(q.scales, stored[static_cast<std::size_t>(b)].scales);
     EXPECT_EQ(q.data, stored[static_cast<std::size_t>(b)].data);
   }
@@ -331,7 +339,7 @@ TEST(QuantTest, PutBlockQConvertsAcrossDtypes) {
   cache::CacheConfig plain;
   plain.num_blocks = 1;
   cache::ActivationCache fshard(plain);
-  fshard.put_block_q(0, 0, quant::quantize(x, Dtype::kF32));
+  fshard.put_block(0, 0, quant::quantize(x, Dtype::kF32));
   EXPECT_EQ(ops::max_abs_diff(fshard.get_block(0, 0), x), 0.0F);
 
   // fp16 payload into an fp16 shard: stored verbatim.
@@ -340,15 +348,15 @@ TEST(QuantTest, PutBlockQConvertsAcrossDtypes) {
   halfcfg.dtype = Dtype::kF16;
   cache::ActivationCache hshard(halfcfg);
   const QTensor qh = quant::quantize(x, Dtype::kF16);
-  hshard.put_block_q(0, 0, qh);
-  EXPECT_EQ(hshard.get_block_q(0, 0).data, qh.data);
+  hshard.put_block(0, 0, qh);
+  EXPECT_EQ(hshard.get_blocks(0)[0].data, qh.data);
 
   // fp16 payload into an int8 shard: one conversion through fp32.
   cache::CacheConfig i8cfg;
   i8cfg.num_blocks = 1;
   i8cfg.dtype = Dtype::kI8;
   cache::ActivationCache ishard(i8cfg);
-  ishard.put_block_q(0, 0, qh);
+  ishard.put_block(0, 0, qh);
   const Tensor expect = quant::dequantize(
       quant::quantize(quant::dequantize(qh), Dtype::kI8));
   EXPECT_EQ(ops::max_abs_diff(ishard.get_block(0, 0), expect), 0.0F);
@@ -373,8 +381,8 @@ TEST(QuantTest, QuantizedCountersTrackResidencyAndSavings) {
 
   // Compressed sends are charged at wire size on the tx counter.
   dist::InProcTransport transport(2);
-  const QTensor q = shard.get_block_q(0, 0);
-  transport.send_q(0, 1, 5, q);
+  const QTensor q = shard.get_blocks(0)[0];
+  transport.send(0, 1, 5, q);
   EXPECT_EQ(counters.value("wire.data_bytes_tx"),
             static_cast<std::int64_t>(q.byte_size()));
 }
@@ -403,7 +411,7 @@ TEST(QuantTest, RedistributionShipsCompressedBytes) {
     }
     std::vector<QTensor> originals;
     for (std::int64_t sid = 3; sid < 6; ++sid) {
-      originals.push_back(shards[0]->get_block_q(sid, 0));
+      originals.push_back(shards[0]->get_blocks(sid)[0]);
     }
     std::vector<cache::RedistStats> stats(kWorld);
     cluster.run([&](dist::DeviceContext& ctx) {
@@ -422,7 +430,7 @@ TEST(QuantTest, RedistributionShipsCompressedBytes) {
     // The move was lossless: rank 1 now holds the sender's exact bytes.
     for (std::int64_t sid = 3; sid < 6; ++sid) {
       const QTensor& orig = originals[static_cast<std::size_t>(sid - 3)];
-      const QTensor got = shards[1]->get_block_q(sid, 0);
+      const QTensor got = shards[1]->get_blocks(sid)[0];
       EXPECT_EQ(got.dtype, orig.dtype);
       EXPECT_EQ(got.scales, orig.scales);
       EXPECT_EQ(got.data, orig.data);
